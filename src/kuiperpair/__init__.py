@@ -21,7 +21,6 @@ from .empirical import (
 from .errors import (
     DerivativeNearZeroError,
     EmptyInputError,
-    ExponentOverflowError,
     InadmissibleRootError,
     KuiperError,
     LengthMismatchError,
@@ -31,17 +30,9 @@ from .errors import (
     UnboundedQuantileError,
     UnsortedInputError,
 )
-from .fixed_point import (
-    IterationTrace,
-    SolverConfig,
-    direct_update,
-    distance,
-    newton_update,
-    solve_fixed_point,
-)
+from .fixed_point import IterationTrace
 from .quantile import (
     DEFAULT_GUESS,
-    GUESS_WINDOWS,
     GuessWindowWarning,
     IterationMethod,
     KuiperPair,
@@ -51,25 +42,8 @@ from .quantile import (
     kuiper_pair_solver,
     kuiper_utq,
 )
-from .survival_vn import (
-    VnFactors,
-    a1,
-    a2,
-    f_ctm1,
-    f_nlm1,
-    series_survival_vn,
-    survival_vn,
-    vn_factors,
-)
-from .survival_vnn import (
-    VnnFactors,
-    f_ctm2,
-    f_nlm2,
-    survival_vnn,
-    u1,
-    u2,
-    vnn_factors,
-)
+from .survival_vn import series_survival_vn, survival_vn
+from .survival_vnn import survival_vnn
 
 __version__ = "0.1.0"
 
@@ -85,7 +59,6 @@ __all__ = [
     "run_test",
     "DerivativeNearZeroError",
     "EmptyInputError",
-    "ExponentOverflowError",
     "InadmissibleRootError",
     "KuiperError",
     "LengthMismatchError",
@@ -95,13 +68,7 @@ __all__ = [
     "UnboundedQuantileError",
     "UnsortedInputError",
     "IterationTrace",
-    "SolverConfig",
-    "direct_update",
-    "distance",
-    "newton_update",
-    "solve_fixed_point",
     "DEFAULT_GUESS",
-    "GUESS_WINDOWS",
     "GuessWindowWarning",
     "IterationMethod",
     "KuiperPair",
@@ -110,19 +77,7 @@ __all__ = [
     "kuiper_ltq",
     "kuiper_pair_solver",
     "kuiper_utq",
-    "VnFactors",
-    "a1",
-    "a2",
-    "f_ctm1",
-    "f_nlm1",
     "series_survival_vn",
     "survival_vn",
-    "vn_factors",
-    "VnnFactors",
-    "f_ctm2",
-    "f_nlm2",
     "survival_vnn",
-    "u1",
-    "u2",
-    "vnn_factors",
 ]

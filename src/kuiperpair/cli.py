@@ -209,15 +209,10 @@ def _probability_transform(values: list[float], args: argparse.Namespace) -> lis
     return [_normal_cdf(x, first, second) for x in values]
 
 
-def _solve_pair(alpha: float, n: int | float, kind: TestKind, method: IterationMethod,
-                guess: float = DEFAULT_GUESS):
-    return kuiper_pair_solver(guess, alpha, n, kind, method)
-
-
 def cmd_pair(args: argparse.Namespace) -> int:
-    pair = _solve_pair(
-        args.alpha, args.n, _KIND_BY_NAME[args.test], _METHOD_BY_NAME[args.method],
-        guess=args.guess,
+    pair = kuiper_pair_solver(
+        args.guess, args.alpha, args.n, _KIND_BY_NAME[args.test],
+        _METHOD_BY_NAME[args.method],
     )
     c_text = format_number(pair.critical_value, args.decimals)
     v_text = format_number(pair.quantile, args.decimals)
@@ -232,7 +227,9 @@ def render_table(spec: TableSpec) -> tuple[str, list[str]]:
     for alpha in spec.alphas:
         for n in spec.ns:
             try:
-                pair = _solve_pair(alpha, n, spec.kind, IterationMethod.NEWTON)
+                pair = kuiper_pair_solver(
+                    DEFAULT_GUESS, alpha, n, spec.kind, IterationMethod.NEWTON
+                )
             except KuiperError as exc:
                 cells[(alpha, n)] = ("NA", "NA")
                 failures.append(

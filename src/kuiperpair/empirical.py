@@ -91,6 +91,12 @@ def kuiper_statistic_one_sample(
     )
 
 
+def _ascending(x: np.ndarray) -> bool:
+    # Every comparison with NaN is False, so a NaN fails one of these; the
+    # first-to-last comparison covers a single-element sample.
+    return bool(np.all(x[1:] >= x[:-1]) and x[0] <= x[-1])
+
+
 def kuiper_statistic_two_sample(
     sample_a: Sequence[float] | np.ndarray,
     sample_b: Sequence[float] | np.ndarray,
@@ -102,7 +108,8 @@ def kuiper_statistic_two_sample(
     across samples are handled by the shared breakpoint grid.
 
     Raises EmptyInputError, LengthMismatchError (only n = m is supported by
-    the matching quantiles) or UnsortedInputError.
+    the matching quantiles) or UnsortedInputError (a sample not sorted
+    ascending, or holding NaN).
     """
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
@@ -113,8 +120,8 @@ def kuiper_statistic_two_sample(
             f"sample sizes differ ({a.size} vs {b.size}); only equal sizes "
             "have a matching quantile"
         )
-    if np.any(np.diff(a) < 0.0) or np.any(np.diff(b) < 0.0):
-        raise UnsortedInputError("both samples must be sorted ascending")
+    if not (_ascending(a) and _ascending(b)):
+        raise UnsortedInputError("both samples must be sorted ascending, without NaN")
     n = a.size
     grid = np.unique(np.concatenate([a, b]))
     ecdf_a = np.searchsorted(a, grid, side="right") / n

@@ -25,15 +25,16 @@ class DerivativeNearZeroError(KuiperError):
 
 
 class InadmissibleRootError(KuiperError):
-    """Solved critical value violates the one-sample admissibility bound c > 1/2."""
+    """Solved critical value lies outside the test's admissible range.
+
+    A root must satisfy c_min < c < sqrt(n): c_min is 1/2 for the one-sample
+    test and 0 for the two-sample test, and c < sqrt(n) keeps the quantile
+    v = c/sqrt(n) below 1, the top of V's support.
+    """
 
 
 class UnboundedQuantileError(KuiperError):
     """The requested quantile has no finite value under the tail approximation."""
-
-
-class ExponentOverflowError(KuiperError):
-    """exp(c^2) is not representable in double precision."""
 
 
 class EmptyInputError(KuiperError):

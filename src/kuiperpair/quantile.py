@@ -29,6 +29,8 @@ SOLVER_EPSILON = 1e-5
 DEFAULT_GUESS = 2.45
 # One-sample critical values at or below 1/2 are artifacts of the truncated
 # series (the factors turn negative in the large-n limit) and are rejected.
+# Roots of either test at or above sqrt(n) are rejected too: they put the
+# quantile v = c/sqrt(n) at or above 1, beyond the support of V.
 MIN_ADMISSIBLE_ROOT = 0.5
 
 # Guards of the quantile routines: alpha pinned to the degenerate end of the
@@ -103,7 +105,8 @@ def kuiper_pair_solver(
 
     ``n`` may be ``math.inf`` (or any value >= 1e16) to request the exact
     large-sample limit.  Raises NonConvergenceError, NumericalDomainError or
-    InadmissibleRootError (one-sample root at or below 1/2).
+    InadmissibleRootError (a root at or below 1/2 for the one-sample test, at
+    or below 0 for the two-sample test, or at or above sqrt(n) for either).
     """
     _validate_alpha_n(alpha, n)
     window = GUESS_WINDOWS[(kind, method)]
@@ -121,14 +124,17 @@ def kuiper_pair_solver(
     else:
         updater = direct_update
     critical, _trace = solve_fixed_point(updater, residual, distance, config, alpha, n)
-    if kind is TestKind.ONE_SAMPLE and critical <= MIN_ADMISSIBLE_ROOT:
+    c_min = MIN_ADMISSIBLE_ROOT if kind is TestKind.ONE_SAMPLE else 0.0
+    root_n = math.sqrt(n)
+    if not c_min < critical < root_n:
         raise InadmissibleRootError(
-            f"solved critical value {critical:.6g} is at or below "
-            f"{MIN_ADMISSIBLE_ROOT} for alpha={alpha:g}, n={n:g}"
+            f"solved critical value {critical:.6g} is outside the admissible "
+            f"range ({c_min:g}, sqrt(n) = {root_n:.6g}) for {kind.value}, "
+            f"alpha={alpha:g}, n={n:g}"
         )
     return KuiperPair(
         critical_value=critical,
-        quantile=critical / math.sqrt(n),
+        quantile=critical / root_n,
         alpha=alpha,
         n=n,
         kind=kind,

@@ -6,47 +6,47 @@ terms of each series in the classical asymptotic expansion, which collapses to
 
     alpha_hat = A1(c, n) * exp(-2 c^2) + A2(c, n) * exp(-8 c^2)
 
-with cubic polynomial factors A1, A2 in c.  Taking logs of that relation gives
-a residual ``f_nlm1`` whose root is the critical value, and an equivalent
-contraction ``f_ctm1`` whose fixed point is the same value.
+with cubic polynomial factors A1, A2 in c: the shared two-term form of
+``_common`` with kappa = 2 and no constant term.  Taking logs of that
+relation gives a residual ``f_nlm1`` whose root is the critical value, and an
+equivalent contraction ``f_ctm1`` whose fixed point is the same value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ._common import is_infinite_n
-from .errors import NumericalDomainError
+from ._common import (
+    Factors,
+    is_infinite_n,
+    two_term_contraction,
+    two_term_residual,
+    two_term_survival,
+)
 
 
-@dataclass(frozen=True)
-class VnFactors:
-    """Values of the two polynomial factors at a given (c, n)."""
-
-    a1: float
-    a2: float
+def _factors(c: float, n: float) -> Factors:
+    """(x, A1, A2, s) at (c, n), with x = c^2 and s = 0."""
+    x = c * c
+    if is_infinite_n(n):
+        return x, -2.0 + 8.0 * x, -2.0 + 32.0 * x, 0.0
+    root_n = math.sqrt(n)
+    return (
+        x,
+        -2.0 + 8.0 * c / root_n + 8.0 * x - 32.0 * c**3 / (3.0 * root_n),
+        -2.0 + 32.0 * c / root_n + 32.0 * x - 512.0 * c**3 / (3.0 * root_n),
+        0.0,
+    )
 
 
 def a1(c: float, n: float) -> float:
     """First factor: -2 + 8c/sqrt(n) + 8c^2 - 32c^3/(3 sqrt(n))."""
-    if is_infinite_n(n):
-        return -2.0 + 8.0 * c * c
-    root_n = math.sqrt(n)
-    return -2.0 + 8.0 * c / root_n + 8.0 * c * c - 32.0 * c**3 / (3.0 * root_n)
+    return _factors(c, n)[1]
 
 
 def a2(c: float, n: float) -> float:
     """Second factor: -2 + 32c/sqrt(n) + 32c^2 - 512c^3/(3 sqrt(n))."""
-    if is_infinite_n(n):
-        return -2.0 + 32.0 * c * c
-    root_n = math.sqrt(n)
-    return -2.0 + 32.0 * c / root_n + 32.0 * c * c - 512.0 * c**3 / (3.0 * root_n)
-
-
-def vn_factors(c: float, n: float) -> VnFactors:
-    """Both factors bundled."""
-    return VnFactors(a1=a1(c, n), a2=a2(c, n))
+    return _factors(c, n)[2]
 
 
 def survival_vn(c: float, n: float) -> float:
@@ -56,7 +56,7 @@ def survival_vn(c: float, n: float) -> float:
     c not too large for the given n); outside it the expression may leave
     (0, 1) and callers must check.
     """
-    return a1(c, n) * math.exp(-2.0 * c * c) + a2(c, n) * math.exp(-8.0 * c * c)
+    return two_term_survival(2.0, _factors(c, n))
 
 
 def series_survival_vn(c: float, n: float, terms: int = 2) -> float:
@@ -81,24 +81,13 @@ def series_survival_vn(c: float, n: float, terms: int = 2) -> float:
     return lead - 8.0 * c / (3.0 * math.sqrt(n)) * correction
 
 
-def _log_argument(c: float, alpha: float, n: float) -> tuple[float, float]:
-    arg = a1(c, n) + a2(c, n) * math.exp(-6.0 * c * c)
-    if arg <= 0.0:
-        raise NumericalDomainError(
-            f"A1 + A2*exp(-6c^2) = {arg:.6g} is not positive at c={c:.6g}, "
-            f"n={n:g}; retry with a guess inside the admissible region"
-        )
-    return math.log(arg), math.log(alpha)
-
-
 def f_nlm1(c: float, alpha: float, n: float) -> float:
     """Residual 2c^2 + ln(alpha) - ln[A1 + A2 exp(-6c^2)].
 
     Zero exactly where the two-term tail approximation equals alpha; this is
     the form handed to the Newton updater.
     """
-    log_arg, log_alpha = _log_argument(c, alpha, n)
-    return 2.0 * c * c + log_alpha - log_arg
+    return two_term_residual(2.0, alpha, _factors(c, n))
 
 
 def f_ctm1(c: float, alpha: float, n: float) -> float:
@@ -107,10 +96,4 @@ def f_ctm1(c: float, alpha: float, n: float) -> float:
     Its fixed points coincide with the roots of :func:`f_nlm1`; this is the
     form handed to the direct updater.
     """
-    log_arg, log_alpha = _log_argument(c, alpha, n)
-    radicand = (log_arg - log_alpha) / 2.0
-    if radicand < 0.0:
-        raise NumericalDomainError(
-            f"negative radicand {radicand:.6g} at c={c:.6g}, alpha={alpha:g}, n={n:g}"
-        )
-    return math.sqrt(radicand)
+    return two_term_contraction(2.0, alpha, _factors(c, n))

@@ -4,114 +4,75 @@ For two samples of common size n the normalized statistic is
 sqrt(n) * V_{n,n}.  Writing x = c^2, the two-term truncation of its tail
 series gives
 
-    alpha_hat = U1(c, n) * exp(-x) + U2(c, n) * exp(-4x)
+    alpha_hat = U1(c, n) * exp(-x) + U2(c, n) * exp(-4x) - 1/(6n)
 
-where U1 absorbs the series' standalone -1/(6n) constant as -exp(x)/(6n) so
-the approximation keeps the same two-exponential shape as the one-sample
-case.  ``f_nlm2`` is the residual ln-form of that relation, used by Newton
-iteration.  ``f_ctm2`` is the contraction used by direct iteration.  It moves
-the constant back to the alpha side,
+with polynomial factors U1, U2 in x: the shared two-term form of ``_common``
+with kappa = 1 and the series' standalone constant s = 1/(6n) (0 in the
+exact limit).  ``f_nlm2`` is the residual used by Newton iteration and
+``f_ctm2`` the contraction used by direct iteration,
 
-    x = ln[2(2x-1) - x(2x-7)/(6n) + U2 exp(-3x)] - ln[alpha + 1/(6n)],
+    x = ln[U1 + U2 exp(-3x)] - ln[alpha + 1/(6n)].
 
-which has the same roots for finite n.  Keeping -exp(x)/(6n) inside the log
-instead makes the log fall steeply at small n: the map's slope at its own
-fixed point reaches -1.27 at (alpha, n) = (0.01, 10), and direct iteration
-oscillates there without converging.  With the constant on the alpha side
-the slope at the root stays well below 1.  There is no modified small-n
-variant of this statistic: the truncation error is already O(1/n^2).
+Both keep the constant on the alpha side.  Folding it into U1 as
+-exp(x)/(6n) instead would overflow at large c and make the log fall steeply
+at small n: the contraction's slope at its own fixed point would reach -1.27
+at (alpha, n) = (0.01, 10), and Newton steps would land where the log
+argument is negative.  There is no modified small-n variant of this
+statistic: the truncation error is already O(1/n^2).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from ._common import (
+    Factors,
+    is_infinite_n,
+    two_term_contraction,
+    two_term_residual,
+    two_term_survival,
+)
 
-from ._common import is_infinite_n
-from .errors import ExponentOverflowError, NumericalDomainError
 
-# exp(x) overflows double precision shortly after x = 709; stop earlier.
-EXP_OVERFLOW_LIMIT = 700.0
-
-
-@dataclass(frozen=True)
-class VnnFactors:
-    """Values of the two factors at a given (c, n)."""
-
-    u1: float
-    u2: float
+def _factors(c: float, n: float) -> Factors:
+    """(x, U1, U2, s) at (c, n), with x = c^2 and s = 1/(6n)."""
+    x = c * c
+    if is_infinite_n(n):
+        return x, 2.0 * (2.0 * x - 1.0), 2.0 * (8.0 * x - 1.0), 0.0
+    return (
+        x,
+        2.0 * (2.0 * x - 1.0) - x * (2.0 * x - 7.0) / (6.0 * n),
+        2.0 * (8.0 * x - 1.0) - 2.0 * x * (8.0 * x - 7.0) / (3.0 * n),
+        1.0 / (6.0 * n),
+    )
 
 
 def u1(c: float, n: float) -> float:
-    """First factor: 2(2x-1) - x(2x-7)/(6n) - exp(x)/(6n) with x = c^2."""
-    x = c * c
-    if is_infinite_n(n):
-        return 2.0 * (2.0 * x - 1.0)
-    if x > EXP_OVERFLOW_LIMIT:
-        raise ExponentOverflowError(
-            f"exp(c^2) overflows for c={c:.6g} (c^2={x:.6g} > {EXP_OVERFLOW_LIMIT:g})"
-        )
-    return 2.0 * (2.0 * x - 1.0) - x * (2.0 * x - 7.0) / (6.0 * n) - math.exp(x) / (6.0 * n)
+    """First factor: 2(2x-1) - x(2x-7)/(6n) with x = c^2."""
+    return _factors(c, n)[1]
 
 
 def u2(c: float, n: float) -> float:
     """Second factor: 2(8x-1) - 2x(8x-7)/(3n) with x = c^2."""
-    x = c * c
-    if is_infinite_n(n):
-        return 2.0 * (8.0 * x - 1.0)
-    return 2.0 * (8.0 * x - 1.0) - 2.0 * x * (8.0 * x - 7.0) / (3.0 * n)
-
-
-def vnn_factors(c: float, n: float) -> VnnFactors:
-    """Both factors bundled."""
-    return VnnFactors(u1=u1(c, n), u2=u2(c, n))
+    return _factors(c, n)[2]
 
 
 def survival_vnn(c: float, n: float) -> float:
     """Two-term approximation of Pr{sqrt(n) * V_{n,n} > c}."""
-    x = c * c
-    return u1(c, n) * math.exp(-x) + u2(c, n) * math.exp(-4.0 * x)
-
-
-def _log_argument(c: float, alpha: float, n: float) -> tuple[float, float]:
-    x = c * c
-    arg = u1(c, n) + u2(c, n) * math.exp(-3.0 * x)
-    if arg <= 0.0:
-        raise NumericalDomainError(
-            f"U1 + U2*exp(-3c^2) = {arg:.6g} is not positive at c={c:.6g}, n={n:g}"
-        )
-    return math.log(arg), math.log(alpha)
+    return two_term_survival(1.0, _factors(c, n))
 
 
 def f_nlm2(c: float, alpha: float, n: float) -> float:
-    """Residual c^2 + ln(alpha) - ln[U1 + U2 exp(-3c^2)]; root = critical value."""
-    log_arg, log_alpha = _log_argument(c, alpha, n)
-    return c * c + log_alpha - log_arg
+    """Residual c^2 + ln[alpha + 1/(6n)] - ln[U1 + U2 exp(-3c^2)].
+
+    Its root is the critical value; this is the form handed to the Newton
+    updater.
+    """
+    return two_term_residual(1.0, alpha, _factors(c, n))
 
 
 def f_ctm2(c: float, alpha: float, n: float) -> float:
-    """Contraction sqrt(ln[P1 + U2 exp(-3c^2)] - ln[alpha + 1/(6n)]).
+    """Contraction sqrt(ln[U1 + U2 exp(-3c^2)] - ln[alpha + 1/(6n)]).
 
-    P1 = 2(2x-1) - x(2x-7)/(6n) is U1 without its -exp(x)/(6n) term, whose
-    constant -1/(6n) sits on the alpha side instead; in the exact limit the
-    form reduces to sqrt(ln[U1 + U2 exp(-3c^2)] - ln alpha).  The fixed point
-    is the root of ``f_nlm2``, and the map's slope there stays below 1, so
-    direct iteration converges to it.
+    The fixed point is the root of ``f_nlm2``, and the map's slope there
+    stays below 1, so direct iteration converges to it.
     """
-    x = c * c
-    if is_infinite_n(n):
-        polynomial, level = 2.0 * (2.0 * x - 1.0), alpha
-    else:
-        polynomial = 2.0 * (2.0 * x - 1.0) - x * (2.0 * x - 7.0) / (6.0 * n)
-        level = alpha + 1.0 / (6.0 * n)
-    arg = polynomial + u2(c, n) * math.exp(-3.0 * x)
-    if arg <= 0.0:
-        raise NumericalDomainError(
-            f"P1 + U2*exp(-3c^2) = {arg:.6g} is not positive at c={c:.6g}, n={n:g}"
-        )
-    radicand = math.log(arg) - math.log(level)
-    if radicand < 0.0:
-        raise NumericalDomainError(
-            f"negative radicand {radicand:.6g} at c={c:.6g}, alpha={alpha:g}, n={n:g}"
-        )
-    return math.sqrt(radicand)
+    return two_term_contraction(1.0, alpha, _factors(c, n))

@@ -139,6 +139,23 @@ class TestTwoSampleStatistic:
         with pytest.raises(UnsortedInputError):
             kuiper_statistic_two_sample([2.0, 1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([math.nan, 1.0], [0.0, 1.0]),
+            ([0.0, 1.0], [0.0, math.nan]),
+            ([math.nan], [0.5]),
+            ([0.5], [math.nan]),
+        ],
+    )
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(UnsortedInputError):
+            kuiper_statistic_two_sample(a, b)
+
+    def test_tied_infinities_accepted(self):
+        result = kuiper_statistic_two_sample([0.0, math.inf, math.inf], [0.0, 1.0, 2.0])
+        assert result.v == pytest.approx(2.0 / 3.0)
+
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(7)
         for size in (2, 9, 25):

@@ -1,6 +1,7 @@
 """Tests for the pair solver, tail quantiles and inverse CDF."""
 
 import math
+import random
 import warnings
 
 import pytest
@@ -22,6 +23,7 @@ from kuiperpair.quantile import (
 from kuiperpair.survival_vn import survival_vn
 from kuiperpair.survival_vnn import survival_vnn
 from oracles import bisect_root
+from test_acceptance import AGREEMENT_TOL
 
 
 class TestPairSolver:
@@ -81,6 +83,36 @@ class TestPairSolver:
         with pytest.warns(GuessWindowWarning):
             with pytest.raises(InadmissibleRootError):
                 kuiper_pair_solver(0.3, 0.10, 30)
+
+    @pytest.mark.parametrize("method", list(IterationMethod))
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_quantile_at_or_above_one_rejected(self, n, method):
+        # V_{n,n} <= 1, so a root with v = c/sqrt(n) >= 1 has no exceedance.
+        with pytest.raises(InadmissibleRootError):
+            kuiper_pair_solver(2.45, 0.05, n, TestKind.TWO_SAMPLE_EQUAL, method)
+
+    def test_two_sample_methods_share_outcome(self):
+        # Both methods solve the same model, so they refuse the same cells
+        # and agree on the rest.
+        rng = random.Random(20261018)
+        solved = 0
+        for _ in range(2000):
+            alpha = math.exp(rng.uniform(math.log(1e-3), math.log(0.25)))
+            n = round(math.exp(rng.uniform(0.0, math.log(1e6))))
+            roots = []
+            for method in IterationMethod:
+                try:
+                    roots.append(kuiper_pair_solver(
+                        2.45, alpha, n, TestKind.TWO_SAMPLE_EQUAL, method
+                    ).critical_value)
+                except InadmissibleRootError:
+                    roots.append(None)
+            if None in roots:
+                assert roots == [None, None], (alpha, n, roots)
+            else:
+                solved += 1
+                assert abs(roots[0] - roots[1]) < AGREEMENT_TOL, (alpha, n, roots)
+        assert solved > 1500
 
     def test_out_of_window_guess_warns_but_solves(self):
         with pytest.warns(GuessWindowWarning):

@@ -20,7 +20,6 @@ from kuiperpair.survival_vn import (
     f_nlm1,
     series_survival_vn,
     survival_vn,
-    vn_factors,
 )
 
 INF = math.inf
@@ -49,11 +48,6 @@ class TestFactors:
     def test_a2_hand_values(self):
         assert a2(1.0, 9) == pytest.approx(-146.0 / 9.0, abs=1e-4)
         assert a2(2.0, 100) == pytest.approx(-2.0 + 6.4 + 128.0 - 4096.0 / 30.0, abs=1e-4)
-
-    def test_bundle_matches_components(self):
-        factors = vn_factors(1.3, 40)
-        assert factors.a1 == a1(1.3, 40)
-        assert factors.a2 == a2(1.3, 40)
 
     @pytest.mark.parametrize("c", [0.6, 1.0, 1.7, 2.5, 3.0])
     def test_limit_factors_exact_and_positive(self, c):

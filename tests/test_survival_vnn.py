@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from kuiperpair.errors import ExponentOverflowError, NumericalDomainError
+from kuiperpair.errors import NumericalDomainError
 from kuiperpair.fixed_point import (
     SolverConfig,
     distance,
@@ -18,7 +18,6 @@ from kuiperpair.survival_vnn import (
     survival_vnn,
     u1,
     u2,
-    vnn_factors,
 )
 from oracles import series_survival_vnn
 from reference_tables import VNN_GRID_ALPHAS, VNN_GRID_NS
@@ -38,10 +37,8 @@ class TestFactors:
         assert u1(1.0, INF) == 2.0
 
     def test_u1_hand_value(self):
-        # x = 4: 2*7 - 4*1/60 - e^4/60.
-        expected = 14.0 - 4.0 / 60.0 - math.exp(4.0) / 60.0
-        assert u1(2.0, 10) == pytest.approx(expected, abs=1e-12)
-        assert u1(2.0, 10) == pytest.approx(13.0233, abs=1e-3)
+        # x = 4: 2*7 - 4*1/60; the series' -1/(6n) sits outside U1.
+        assert u1(2.0, 10) == pytest.approx(14.0 - 4.0 / 60.0, abs=1e-12)
 
     def test_u2_limit(self):
         assert u2(1.0, INF) == 14.0
@@ -60,18 +57,19 @@ class TestFactors:
         assert u1(c, 10**16) == 2.0 * (2.0 * x - 1.0)
         assert u2(c, 10**16) == 2.0 * (8.0 * x - 1.0)
 
-    def test_bundle_matches_components(self):
-        factors = vnn_factors(2.2, 40)
-        assert factors.u1 == u1(2.2, 40)
-        assert factors.u2 == u2(2.2, 40)
-
-    def test_overflow_guard(self):
-        with pytest.raises(ExponentOverflowError):
-            u1(27.0, 10)
-
     def test_limit_path_skips_exponential(self):
         # No exp(c^2) is evaluated in the exact limit, so large c is fine.
         assert u1(30.0, INF) == 2.0 * (2.0 * 900.0 - 1.0)
+
+    def test_no_exp_c2_at_large_c(self):
+        # c^2 = 729: exp(c^2) is not representable, and none is formed.
+        assert math.isfinite(survival_vnn(27.0, 10))
+        assert math.isfinite(f_nlm2(27.0, 0.05, 1000))
+        assert math.isfinite(f_ctm2(27.0, 0.05, 1000))
+        # At n = 10 the polynomial U1 is negative there: a typed domain error.
+        for form in (f_nlm2, f_ctm2):
+            with pytest.raises(NumericalDomainError):
+                form(27.0, 0.05, 10)
 
 
 class TestSurvival:
@@ -86,10 +84,6 @@ class TestSurvival:
     )
     def test_reference_values(self, c, n, expected):
         assert survival_vnn(c, n) == pytest.approx(expected, abs=5e-4)
-
-    def test_overflow_propagates(self):
-        with pytest.raises(ExponentOverflowError):
-            survival_vnn(27.0, 10)
 
     @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("n", [5, 10, 30, 100, INF])
