@@ -20,16 +20,13 @@ from .empirical import (
     monte_carlo_exceedance,
     run_test,
 )
-from .errors import (
-    EmptyInputError,
-    KuiperError,
-    OutOfRangeError,
-    UnsortedInputError,
-)
+from .errors import KuiperError, OutOfRangeError
 from .quantile import (
     DEFAULT_GUESS,
     IterationMethod,
     TestKind,
+    check_alpha,
+    check_n,
     kuiper_inv_cdf,
     kuiper_ltq,
     kuiper_pair_solver,
@@ -43,8 +40,10 @@ _KIND_BY_NAME = {"vn": TestKind.ONE_SAMPLE, "vnn": TestKind.TWO_SAMPLE_EQUAL}
 _METHOD_BY_NAME = {"direct": IterationMethod.DIRECT, "newton": IterationMethod.NEWTON}
 
 
-class _UsageError(Exception):
-    """Flag/data problem that should exit with status 2."""
+def _check_decimals(decimals: int) -> int:
+    if not 1 <= decimals <= 12:
+        raise ValueError(f"decimals must lie in [1, 12], got {decimals}")
+    return decimals
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,7 @@ class TableSpec:
             raise ValueError("alphas and ns must be nonempty")
         if self.format not in ("csv", "markdown"):
             raise ValueError(f"format must be csv or markdown, got {self.format!r}")
-        if not 1 <= self.decimals <= 12:
-            raise ValueError(f"decimals must lie in [1, 12], got {self.decimals}")
+        _check_decimals(self.decimals)
 
 
 def round_half_away(value: float, decimals: int) -> float:
@@ -83,69 +81,27 @@ def _format_n(n: int | float) -> str:
     return "inf" if math.isinf(n) else str(int(n))
 
 
-def _parse_n(text: str) -> int | float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"n must be a positive integer or 'inf', got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"n must be at least 1, got {value}")
-    return value
+def _to_n(text: str) -> int | float:
+    return math.inf if text.strip().lower() in ("inf", "infinity") else int(text)
 
 
-def _parse_finite_n(text: str) -> int:
-    value = _parse_n(text)
-    if math.isinf(value):
-        raise argparse.ArgumentTypeError("this command requires a finite n")
-    return int(value)
+def _arg(convert, check):
+    """argparse type: convert the text, then apply the library's range rule."""
+    def parse(text: str):
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _parse_alpha(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"alpha must be a real number, got {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {value!r}")
-    return value
+def _list_arg(item):
+    """argparse type: a comma-separated list, each piece parsed by ``item``."""
+    return lambda text: tuple(item(piece) for piece in text.split(",") if piece.strip())
 
 
-def _parse_probability(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"p must be a real number, got {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"p must lie in [0, 1], got {value!r}")
-    return value
-
-
-def _parse_decimals(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"decimals must be an integer, got {text!r}") from None
-    if not 1 <= value <= 12:
-        raise argparse.ArgumentTypeError(f"decimals must lie in [1, 12], got {value}")
-    return value
-
-
-def _parse_alpha_list(text: str) -> tuple[float, ...]:
-    items = [piece for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of alphas")
-    return tuple(_parse_alpha(piece) for piece in items)
-
-
-def _parse_n_list(text: str) -> tuple[int | float, ...]:
-    items = [piece for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of ns")
-    return tuple(_parse_n(piece) for piece in items)
+_ALPHA = _arg(float, check_alpha)
+_N = _arg(_to_n, check_n)
 
 
 def _read_data_file(path: str) -> list[float]:
@@ -154,7 +110,7 @@ def _read_data_file(path: str) -> list[float]:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read data file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read data file {path!r}: {exc}") from exc
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -163,14 +119,14 @@ def _read_data_file(path: str) -> list[float]:
         try:
             value = float(line)
         except ValueError:
-            raise _UsageError(
+            raise ValueError(
                 f"{path}:{lineno}: not a decimal number: {line!r}"
             ) from None
         if not math.isfinite(value):
-            raise _UsageError(f"{path}:{lineno}: non-finite value: {line!r}")
+            raise ValueError(f"{path}:{lineno}: non-finite value: {line!r}")
         values.append(value)
     if not values:
-        raise _UsageError(f"data file {path!r} contains no values")
+        raise ValueError(f"data file {path!r} contains no values")
     return values
 
 
@@ -189,23 +145,18 @@ def _uniform_cdf(x: float, low: float, high: float) -> float:
 
 def _probability_transform(values: list[float], args: argparse.Namespace) -> list[float]:
     if args.pit:
-        for value in values:
-            if not 0.0 <= value <= 1.0:
-                raise _UsageError(
-                    f"OutOfRange: --pit value {value!r} outside [0, 1]"
-                )
-        return list(values)
+        return values
     dist = args.dist or "uniform"
     params = args.params if args.params is not None else (0.0, 1.0)
     first, second = params
     if dist == "uniform":
         if second <= first:
-            raise _UsageError(
+            raise ValueError(
                 f"uniform needs --params A B with B > A, got {first!r} {second!r}"
             )
         return [_uniform_cdf(x, first, second) for x in values]
     if second <= 0.0:
-        raise _UsageError(f"normal needs a positive sigma, got {second!r}")
+        raise ValueError(f"normal needs a positive sigma, got {second!r}")
     return [_normal_cdf(x, first, second) for x in values]
 
 
@@ -278,22 +229,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_utq(args: argparse.Namespace) -> int:
-    print(format_number(kuiper_utq(args.alpha, args.n), args.decimals))
-    return 0
-
-
-def cmd_ltq(args: argparse.Namespace) -> int:
-    print(format_number(kuiper_ltq(args.alpha, args.n), args.decimals))
-    return 0
-
-
-def cmd_invcdf(args: argparse.Namespace) -> int:
-    print(format_number(kuiper_inv_cdf(args.p, args.n), args.decimals))
+def cmd_quantile(args: argparse.Namespace) -> int:
+    print(format_number(args.quantile(args.level, args.n), args.decimals))
     return 0
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    if args.points < 2:
+        raise ValueError("--points must be at least 2")
     step = (CURVE_P_MAX - CURVE_P_MIN) / (args.points - 1)
     print("p,x")
     for index in range(args.points):
@@ -309,10 +252,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_test(args: argparse.Namespace) -> int:
     values = _read_data_file(args.data)
     try:
-        probabilities = sorted(_probability_transform(values, args))
-        result = kuiper_statistic_one_sample(probabilities)
-    except (EmptyInputError, OutOfRangeError, UnsortedInputError) as exc:
-        raise _UsageError(f"{type(exc).__name__}: {exc}") from exc
+        result = kuiper_statistic_one_sample(sorted(_probability_transform(values, args)))
+    except OutOfRangeError as exc:  # a data error, not a numerical one
+        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
     decision = run_test(result, args.alpha, TestKind.ONE_SAMPLE)
     p_value = approximate_p_value(result)
     decimals = args.decimals
@@ -340,7 +282,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
-        "--decimals", type=_parse_decimals, default=4,
+        "--decimals", type=_arg(int, _check_decimals), default=4,
         help="printed precision, 1-12 decimal places (default 4)",
     )
 
@@ -353,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pair = sub.add_parser("pair", parents=[shared],
                           help="solve the (critical value, quantile) pair")
-    pair.add_argument("--alpha", type=_parse_alpha, required=True)
-    pair.add_argument("--n", type=_parse_n, required=True,
+    pair.add_argument("--alpha", type=_ALPHA, required=True)
+    pair.add_argument("--n", type=_N, required=True,
                       help="sample size, or 'inf' for the large-sample limit")
     pair.add_argument("--test", choices=("vn", "vnn"), default="vn")
     pair.add_argument("--method", choices=("direct", "newton"), default="newton")
@@ -363,40 +305,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", parents=[shared],
                            help="generate a critical-value/quantile table")
-    table.add_argument("--alphas", type=_parse_alpha_list, required=True,
+    table.add_argument("--alphas", type=_list_arg(_ALPHA), required=True,
                        help="comma-separated significance levels")
-    table.add_argument("--ns", type=_parse_n_list, required=True,
+    table.add_argument("--ns", type=_list_arg(_N), required=True,
                        help="comma-separated sample sizes ('inf' allowed)")
     table.add_argument("--test", choices=("vn", "vnn"), default="vn")
     table.add_argument("--format", choices=("csv", "markdown"), default="csv")
     table.set_defaults(handler=cmd_table)
 
-    utq = sub.add_parser("utq", parents=[shared], help="upper tail quantile")
-    utq.add_argument("--alpha", type=float, required=True)
-    utq.add_argument("--n", type=_parse_n, required=True)
-    utq.set_defaults(handler=cmd_utq)
-
-    ltq = sub.add_parser("ltq", parents=[shared], help="lower tail quantile")
-    ltq.add_argument("--alpha", type=float, required=True)
-    ltq.add_argument("--n", type=_parse_n, required=True)
-    ltq.set_defaults(handler=cmd_ltq)
-
-    invcdf = sub.add_parser("invcdf", parents=[shared],
-                            help="inverse CDF of the one-sample statistic")
-    invcdf.add_argument("--p", type=_parse_probability, required=True)
-    invcdf.add_argument("--n", type=_parse_n, required=True)
-    invcdf.set_defaults(handler=cmd_invcdf)
+    for name, quantile, flag, text in (
+        ("utq", kuiper_utq, "--alpha", "upper tail quantile"),
+        ("ltq", kuiper_ltq, "--alpha", "lower tail quantile"),
+        ("invcdf", kuiper_inv_cdf, "--p", "inverse CDF of the one-sample statistic"),
+    ):
+        command = sub.add_parser(name, parents=[shared], help=text)
+        command.add_argument(flag, dest="level", metavar=flag[2:].upper(), type=float,
+                             required=True)
+        command.add_argument("--n", type=_N, required=True)
+        command.set_defaults(handler=cmd_quantile, quantile=quantile)
 
     curve = sub.add_parser("curve", parents=[shared],
                            help="emit p,x rows of the inverse CDF for plotting")
-    curve.add_argument("--n", type=_parse_n, required=True)
+    curve.add_argument("--n", type=_N, required=True)
     curve.add_argument("--points", type=int, required=True)
     curve.set_defaults(handler=cmd_curve)
 
     test = sub.add_parser("test", parents=[shared],
                           help="goodness-of-fit decision for a data file")
     test.add_argument("--data", required=True, help="file with one value per line")
-    test.add_argument("--alpha", type=_parse_alpha, required=True)
+    test.add_argument("--alpha", type=_ALPHA, required=True)
     group = test.add_mutually_exclusive_group()
     group.add_argument("--dist", choices=("uniform", "normal"),
                        help="reference distribution for the probability transform")
@@ -408,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", parents=[shared],
                               help="Monte Carlo check of a solved quantile")
-    simulate.add_argument("--n", type=_parse_finite_n, required=True)
-    simulate.add_argument("--alpha", type=_parse_alpha, required=True)
+    simulate.add_argument("--n", type=_N, required=True)
+    simulate.add_argument("--alpha", type=_ALPHA, required=True)
     simulate.add_argument("--reps", type=int, required=True)
     simulate.add_argument("--seed", type=int, required=True)
     simulate.add_argument("--test", choices=("vn",), default="vn")
@@ -424,17 +361,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already reported the problem
         return int(exc.code or 0)
-    if args.command == "curve" and args.points < 2:
-        print("error: --points must be at least 2", file=sys.stderr)
-        return 2
-    if args.command == "simulate" and (args.reps < 1):
-        print("error: --reps must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KuiperError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

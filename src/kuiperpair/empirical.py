@@ -10,6 +10,7 @@ breakpoints.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,6 +60,30 @@ class TestDecision:
     reject: bool
 
 
+def _sample(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D sequence, got shape {x.shape}")
+    if x.size == 0:
+        raise EmptyInputError("the statistic needs a nonempty sample")
+    return x
+
+
+def _ascending(x: np.ndarray) -> bool:
+    # Every comparison with NaN is False, so a NaN fails one of these; the
+    # first-to-last comparison covers a single-element sample.
+    return bool(np.all(x[1:] >= x[:-1]) and x[0] <= x[-1])
+
+
+def _deviations(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D+ and D- of sorted uniforms along the last axis, floored at zero."""
+    n = u.shape[-1]
+    positions = np.arange(1.0, n + 1.0)
+    d_plus = np.maximum((positions / n - u).max(axis=-1), 0.0)
+    d_minus = np.maximum((u - (positions - 1.0) / n).max(axis=-1), 0.0)
+    return d_plus, d_minus
+
+
 def kuiper_statistic_one_sample(
     probabilities: Sequence[float] | np.ndarray,
 ) -> EmpiricalResult:
@@ -67,34 +92,21 @@ def kuiper_statistic_one_sample(
     d_plus  = max_i (i/n - u_(i)),  d_minus = max_i (u_(i) - (i-1)/n),
     both floored at zero, with v = d_plus + d_minus and k = sqrt(n) * v.
 
-    Raises EmptyInputError, OutOfRangeError (value outside [0, 1]) or
-    UnsortedInputError.
+    Raises ValueError (input not 1-D), EmptyInputError, OutOfRangeError
+    (value outside [0, 1]) or UnsortedInputError.
     """
-    u = np.asarray(probabilities, dtype=float)
-    if u.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence, got shape {u.shape}")
-    n = u.size
-    if n == 0:
-        raise EmptyInputError("one-sample statistic needs at least one value")
+    u = _sample(probabilities)
     in_range = (u >= 0.0) & (u <= 1.0)  # False for NaN as well
     if not np.all(in_range):
         bad = float(u[~in_range][0])
         raise OutOfRangeError(f"probability-scale value {bad!r} outside [0, 1]")
-    if np.any(np.diff(u) < 0.0):
+    if not _ascending(u):
         raise UnsortedInputError("values must be sorted ascending")
-    positions = np.arange(1.0, n + 1.0)
-    d_plus = max(0.0, float(np.max(positions / n - u)))
-    d_minus = max(0.0, float(np.max(u - (positions - 1.0) / n)))
+    d_plus, d_minus = (float(d) for d in _deviations(u))
     v = d_plus + d_minus
     return EmpiricalResult(
-        d_plus=d_plus, d_minus=d_minus, v=v, k=math.sqrt(n) * v, n=n
+        d_plus=d_plus, d_minus=d_minus, v=v, k=math.sqrt(u.size) * v, n=u.size
     )
-
-
-def _ascending(x: np.ndarray) -> bool:
-    # Every comparison with NaN is False, so a NaN fails one of these; the
-    # first-to-last comparison covers a single-element sample.
-    return bool(np.all(x[1:] >= x[:-1]) and x[0] <= x[-1])
 
 
 def kuiper_statistic_two_sample(
@@ -107,14 +119,12 @@ def kuiper_statistic_two_sample(
     merged value, which is where their difference can change; ties within and
     across samples are handled by the shared breakpoint grid.
 
-    Raises EmptyInputError, LengthMismatchError (only n = m is supported by
-    the matching quantiles) or UnsortedInputError (a sample not sorted
-    ascending, or holding NaN).
+    Raises ValueError (a sample not 1-D), EmptyInputError,
+    LengthMismatchError (only n = m is supported by the matching quantiles)
+    or UnsortedInputError (a sample not sorted ascending, or holding NaN).
     """
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise EmptyInputError("two-sample statistic needs nonempty samples")
+    a = _sample(sample_a)
+    b = _sample(sample_b)
     if a.size != b.size:
         raise LengthMismatchError(
             f"sample sizes differ ({a.size} vs {b.size}); only equal sizes "
@@ -174,23 +184,21 @@ def monte_carlo_exceedance(
     Draws ``replications`` samples of ``n`` uniforms from a generator seeded
     with ``seed`` and is fully deterministic for fixed arguments.  Serves as
     the independent check that Pr{V_n > v(alpha, n)} is indeed close to alpha.
+    Raises ValueError unless n and replications are positive integers and the
+    threshold is a number.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive sample size, got {n!r}")
-    if replications < 1:
-        raise ValueError(f"replications must be at least 1, got {replications!r}")
+    for name, count in (("n", n), ("replications", replications)):
+        if not (isinstance(count, numbers.Integral) and count >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    if math.isnan(v_threshold):
+        raise ValueError("v_threshold must be a number, got nan")
     rng = np.random.default_rng(seed)
-    positions = np.arange(1.0, n + 1.0)
-    upper = positions / n
-    lower = (positions - 1.0) / n
     chunk_rows = max(1, _ELEMENT_BUDGET // n)
     exceeded = 0
     remaining = replications
     while remaining > 0:
         rows = min(chunk_rows, remaining)
-        u = np.sort(rng.random((rows, n)), axis=1)
-        d_plus = np.maximum((upper - u).max(axis=1), 0.0)
-        d_minus = np.maximum((u - lower).max(axis=1), 0.0)
+        d_plus, d_minus = _deviations(np.sort(rng.random((rows, n)), axis=1))
         exceeded += int(np.count_nonzero(d_plus + d_minus > v_threshold))
         remaining -= rows
     return exceeded / replications

@@ -8,6 +8,7 @@ residual function (Newton iteration); both share one loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,8 +40,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.guess <= 0.0:
-            raise ValueError(f"guess must be positive, got {self.guess}")
+        if not 0.0 < self.guess < math.inf:
+            raise ValueError(f"guess must be finite and positive, got {self.guess}")
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be at least 1, got {self.max_iterations}"

@@ -87,11 +87,18 @@ class KuiperPair:
     kind: TestKind
 
 
-def _validate_alpha_n(alpha: float, n: int | float) -> None:
+def check_alpha(alpha: float) -> float:
+    """Return a significance level in (0, 1); raise ValueError otherwise."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if n < 1:
-        raise ValueError(f"n must be a positive sample size, got {n!r}")
+    return alpha
+
+
+def check_n(n: int | float) -> int | float:
+    """Return a sample size n >= 1 (``math.inf`` included); NaN fails."""
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    return n
 
 
 def kuiper_pair_solver(
@@ -104,11 +111,15 @@ def kuiper_pair_solver(
     """Solve the Kuiper pair (c, v = c/sqrt(n)) for the given test and method.
 
     ``n`` may be ``math.inf`` (or any value >= 1e16) to request the exact
-    large-sample limit.  Raises NonConvergenceError, NumericalDomainError or
+    large-sample limit.  Raises ValueError, before any GuessWindowWarning, for
+    alpha outside (0, 1), n < 1 or NaN, or a guess that is not finite and
+    positive.  Raises NonConvergenceError, NumericalDomainError or
     InadmissibleRootError (a root at or below 1/2 for the one-sample test, at
     or below 0 for the two-sample test, or at or above sqrt(n) for either).
     """
-    _validate_alpha_n(alpha, n)
+    check_alpha(alpha)
+    check_n(n)
+    config = SolverConfig(epsilon=SOLVER_EPSILON, guess=guess)
     window = GUESS_WINDOWS[(kind, method)]
     if not window[0] < guess < window[1]:
         warnings.warn(
@@ -117,7 +128,6 @@ def kuiper_pair_solver(
             GuessWindowWarning,
             stacklevel=2,
         )
-    config = SolverConfig(epsilon=SOLVER_EPSILON, guess=guess)
     residual = _RESIDUALS[(kind, method)]
     if method is IterationMethod.NEWTON:
         updater = functools.partial(newton_update, step=config.derivative_step)
@@ -144,13 +154,14 @@ def kuiper_pair_solver(
 def kuiper_utq(alpha: float, n: int | float) -> float:
     """Upper tail quantile v(alpha, n) with Pr{V_n > v} = alpha.
 
-    Returns 0.0 outright for alpha >= 0.9999, where the quantile is pinned to
-    the bottom of the distribution's support.
+    ``alpha`` lies in (0, 1].  Returns 0.0 outright for alpha >= 0.9999,
+    where the quantile is pinned to the bottom of the distribution's support.
     """
+    check_n(n)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if alpha >= UPPER_TAIL_GUARD:
         return 0.0
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
     pair = kuiper_pair_solver(
         DEFAULT_GUESS, alpha, n, TestKind.ONE_SAMPLE, IterationMethod.NEWTON
     )
@@ -160,9 +171,13 @@ def kuiper_utq(alpha: float, n: int | float) -> float:
 def kuiper_ltq(alpha: float, n: int | float) -> float:
     """Lower tail quantile, the complement identity of :func:`kuiper_utq`.
 
-    Returns 0.0 for alpha <= 0.0001; otherwise the lower tail quantile at
-    level alpha equals the upper tail quantile at level 1 - alpha.
+    ``alpha`` lies in [0, 1).  Returns 0.0 for alpha <= 0.0001; otherwise the
+    lower tail quantile at level alpha equals the upper tail quantile at
+    level 1 - alpha.
     """
+    check_n(n)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
     if alpha <= LOWER_TAIL_GUARD:
         return 0.0
     return kuiper_utq(1.0 - alpha, n)

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import pytest
 
@@ -83,6 +84,16 @@ class TestPairCommand:
     def test_usage_errors_exit_two(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    @pytest.mark.parametrize("guess", ["nan", "inf", "-1"])
+    def test_bad_guess_exits_two_without_warning(self, capsys, guess):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "pair", "--alpha", "0.05", "--n", "30", "--guess", guess
+            )
+        assert code == 2 and out == ""
+        assert err == f"error: guess must be finite and positive, got {float(guess)}\n"
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "pair", "--alpha", "0.01", "--n", "30")
@@ -202,6 +213,21 @@ class TestQuantileCommands:
     def test_ltq_guard(self, capsys):
         code, out, _ = run_cli(capsys, "ltq", "--alpha", "0.00005", "--n", "30")
         assert code == 0 and out == "0.0000\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("utq", "--alpha", "1.5"), "alpha must lie in (0, 1], got 1.5"),
+            (("utq", "--alpha", "0"), "alpha must lie in (0, 1], got 0.0"),
+            (("ltq", "--alpha", "-2"), "alpha must lie in [0, 1), got -2.0"),
+            (("ltq", "--alpha", "1"), "alpha must lie in [0, 1), got 1.0"),
+            (("invcdf", "--p", "1.5"), "p must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_level_out_of_range_exits_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--n", "30")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_invcdf(self, capsys):
         code, out, _ = run_cli(capsys, "invcdf", "--p", "0.90", "--n", "100")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kuiperpair.empirical import (
     EmpiricalResult,
@@ -21,6 +22,11 @@ from kuiperpair.errors import (
 )
 from kuiperpair.quantile import TestKind, kuiper_utq
 from oracles import counting_one_sample, counting_two_sample
+
+# Fixed example sequence: the suite stays deterministic and needs no database.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+# A coarse grid makes ties within and across samples the common case.
+TIED = st.integers(0, 8).map(lambda k: k / 8)
 
 
 class TestOneSampleStatistic:
@@ -152,6 +158,10 @@ class TestTwoSampleStatistic:
         with pytest.raises(UnsortedInputError):
             kuiper_statistic_two_sample(a, b)
 
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="expected a 1-D sequence"):
+            kuiper_statistic_two_sample([[0.1, 0.2], [0.3, 0.4]], [[0.1, 0.2], [0.3, 0.5]])
+
     def test_tied_infinities_accepted(self):
         result = kuiper_statistic_two_sample([0.0, math.inf, math.inf], [0.0, 1.0, 2.0])
         assert result.v == pytest.approx(2.0 / 3.0)
@@ -184,6 +194,38 @@ class TestTwoSampleStatistic:
             assert mapped.d_plus == base.d_plus
             assert mapped.d_minus == base.d_minus
             assert mapped.v == base.v
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(st.lists(TIED, min_size=1, max_size=60))
+    def test_one_sample_matches_counting_oracle(self, values):
+        values.sort()
+        result = kuiper_statistic_one_sample(values)
+        oracle_plus, oracle_minus = counting_one_sample(values)
+        assert result.d_plus == pytest.approx(oracle_plus, abs=1e-12)
+        assert result.d_minus == pytest.approx(oracle_minus, abs=1e-12)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(TIED, TIED), min_size=1, max_size=60))
+    def test_two_sample_matches_counting_oracle(self, pairs):
+        a, b = (sorted(sample) for sample in zip(*pairs))
+        result = kuiper_statistic_two_sample(a, b)
+        oracle_plus, oracle_minus = counting_two_sample(a, b)
+        assert result.d_plus == pytest.approx(oracle_plus, abs=1e-12)
+        assert result.d_minus == pytest.approx(oracle_minus, abs=1e-12)
+
+    @PROPERTY
+    @given(st.integers(1, 40), st.none() | st.floats(0.0, 1.0), st.integers(1, 40),
+           st.integers(0, 2**32))
+    def test_simulator_counts_one_sample_statistics(self, n, threshold, reps, seed):
+        # One chunk: the simulator's rows are these rows, in this order.
+        rows = np.sort(np.random.default_rng(seed).random((reps, n)), axis=1)
+        statistics = [kuiper_statistic_one_sample(row).v for row in rows]
+        if threshold is None:  # exactly on a simulated value, which does not exceed it
+            threshold = statistics[0]
+        exceeded = sum(v > threshold for v in statistics)
+        assert monte_carlo_exceedance(n, threshold, reps, seed) == exceeded / reps
 
 
 class TestRunTest:
@@ -252,3 +294,17 @@ class TestMonteCarlo:
             monte_carlo_exceedance(0, 0.5, 10, 1)
         with pytest.raises(ValueError):
             monte_carlo_exceedance(10, 0.5, 0, 1)
+
+    @pytest.mark.parametrize(
+        "n,threshold,reps,message",
+        [
+            (2.5, 0.5, 10, "n must be a positive integer"),
+            (math.inf, 0.5, 10, "n must be a positive integer"),
+            (math.nan, 0.5, 10, "n must be a positive integer"),
+            (10, 0.5, 2.5, "replications must be a positive integer"),
+            (10, math.nan, 10, "v_threshold must be a number"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, n, threshold, reps, message):
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_exceedance(n, threshold, reps, 1)

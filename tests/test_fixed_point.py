@@ -51,6 +51,8 @@ class TestSolverConfig:
             {"guess": 0.0},
             {"max_iterations": 0},
             {"derivative_step": 0.0},
+            {"guess": math.nan},
+            {"guess": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

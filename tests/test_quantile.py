@@ -129,9 +129,22 @@ class TestPairSolver:
         with pytest.raises(ValueError):
             kuiper_pair_solver(2.45, alpha, 30)
 
-    def test_n_validation(self):
-        with pytest.raises(ValueError):
-            kuiper_pair_solver(2.45, 0.05, 0)
+    @pytest.mark.parametrize("n", [0, math.nan])
+    def test_n_validation(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            kuiper_pair_solver(2.45, 0.05, n)
+
+    def test_fractional_n_accepted(self):
+        # The model is defined for real n (an effective size need not be whole).
+        roots = [kuiper_pair_solver(2.45, 0.05, n).critical_value for n in (30, 30.5, 31)]
+        assert roots[0] < roots[1] < roots[2]
+
+    @pytest.mark.parametrize("guess", [math.nan, math.inf, -1.0, 0.0])
+    def test_guess_validation_precedes_window_warning(self, guess):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="guess must be finite and positive"):
+                kuiper_pair_solver(guess, 0.05, 30)
 
     def test_domain_error_propagates(self):
         # Guess 2.45 is outside the evaluable region for n = 5.
@@ -147,10 +160,21 @@ class TestUpperTailQuantile:
     def test_guard_returns_zero(self):
         assert kuiper_utq(0.99995, 17) == 0.0
         assert kuiper_utq(0.9999, 30) == 0.0
+        assert kuiper_utq(1.0, 30) == 0.0
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             kuiper_utq(0.0, 30)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 1.5, 1.0000001, math.nan])
+    def test_rejects_alpha_outside_range(self, alpha):
+        with pytest.raises(ValueError, match=rf"\(0, 1\], got {alpha!r}"):
+            kuiper_utq(alpha, 30)
+
+    @pytest.mark.parametrize("n", [0, math.nan])
+    def test_guard_checks_n(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            kuiper_utq(0.99995, n)
 
 
 class TestLowerTailQuantile:
@@ -161,6 +185,18 @@ class TestLowerTailQuantile:
     def test_guard_returns_zero(self):
         assert kuiper_ltq(0.00005, 30) == 0.0
         assert kuiper_ltq(0.0001, 30) == 0.0
+        assert kuiper_ltq(0.0, 30) == 0.0
+
+    @pytest.mark.parametrize("alpha", [-2.0, 1.0, 1.5, math.nan])
+    def test_rejects_alpha_outside_range(self, alpha):
+        # The message names the caller's level, not its complement.
+        with pytest.raises(ValueError, match=rf"\[0, 1\), got {alpha!r}"):
+            kuiper_ltq(alpha, 30)
+
+    @pytest.mark.parametrize("n", [0, math.nan])
+    def test_guard_checks_n(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            kuiper_ltq(0.00005, n)
 
 
 class TestInverseCdf:
