@@ -149,6 +149,8 @@ def _probability_transform(values: list[float], args: argparse.Namespace) -> lis
     dist = args.dist or "uniform"
     params = args.params if args.params is not None else (0.0, 1.0)
     first, second = params
+    if not (math.isfinite(first) and math.isfinite(second)):
+        raise ValueError(f"--params must be finite numbers, got {first!r} {second!r}")
     if dist == "uniform":
         if second <= first:
             raise ValueError(

@@ -5,6 +5,10 @@ transformed values u_(i) = F0(x_(i)), already sorted ascending, and measures
 how far their empirical CDF strays above and below the uniform CDF.  The
 two-sample kernel compares two equal-size empirical CDFs over their merged
 breakpoints.
+
+numpy is imported inside the functions that build arrays, not at module
+level: the solvers are pure stdlib, so ``import kuiperpair`` and the
+solver-only CLI commands never pay for loading it.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import (
     EmptyInputError,
@@ -26,6 +31,7 @@ from .quantile import (
     DEFAULT_GUESS,
     IterationMethod,
     TestKind,
+    check_alpha,
     kuiper_pair_solver,
     kuiper_utq,
 )
@@ -61,6 +67,8 @@ class TestDecision:
 
 
 def _sample(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    import numpy as np
+
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {x.shape}")
@@ -70,6 +78,8 @@ def _sample(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def _ascending(x: np.ndarray) -> bool:
+    import numpy as np
+
     # Every comparison with NaN is False, so a NaN fails one of these; the
     # first-to-last comparison covers a single-element sample.
     return bool(np.all(x[1:] >= x[:-1]) and x[0] <= x[-1])
@@ -77,6 +87,8 @@ def _ascending(x: np.ndarray) -> bool:
 
 def _deviations(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D+ and D- of sorted uniforms along the last axis, floored at zero."""
+    import numpy as np
+
     n = u.shape[-1]
     positions = np.arange(1.0, n + 1.0)
     d_plus = np.maximum((positions / n - u).max(axis=-1), 0.0)
@@ -95,6 +107,8 @@ def kuiper_statistic_one_sample(
     Raises ValueError (input not 1-D), EmptyInputError, OutOfRangeError
     (value outside [0, 1]) or UnsortedInputError.
     """
+    import numpy as np
+
     u = _sample(probabilities)
     in_range = (u >= 0.0) & (u <= 1.0)  # False for NaN as well
     if not np.all(in_range):
@@ -123,6 +137,8 @@ def kuiper_statistic_two_sample(
     LengthMismatchError (only n = m is supported by the matching quantiles)
     or UnsortedInputError (a sample not sorted ascending, or holding NaN).
     """
+    import numpy as np
+
     a = _sample(sample_a)
     b = _sample(sample_b)
     if a.size != b.size:
@@ -151,8 +167,10 @@ def run_test(
     """Decide accept/reject: reject exactly when v exceeds the alpha-quantile.
 
     Equality keeps the null (the quantile is defined through a strict
-    exceedance probability).  Solver errors propagate.
+    exceedance probability).  Both kinds take alpha in (0, 1) and raise
+    ValueError otherwise; solver errors propagate.
     """
+    check_alpha(alpha)
     if kind is TestKind.ONE_SAMPLE:
         threshold = kuiper_utq(alpha, result.n)
     else:
@@ -187,6 +205,8 @@ def monte_carlo_exceedance(
     Raises ValueError unless n and replications are positive integers and the
     threshold is a number.
     """
+    import numpy as np
+
     for name, count in (("n", n), ("replications", replications)):
         if not (isinstance(count, numbers.Integral) and count >= 1):
             raise ValueError(f"{name} must be a positive integer, got {count!r}")

@@ -2,11 +2,17 @@
 
 import csv
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import kuiperpair
 from kuiperpair.cli import format_number, main, render_table, round_half_away, TableSpec
 from kuiperpair.quantile import TestKind, kuiper_ltq, kuiper_utq
 from reference_tables import VN_PAIRS, VNN_PAIRS
@@ -363,6 +369,31 @@ class TestTestCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "dist,params",
+        [
+            ("uniform", ("nan", "5")),
+            ("uniform", ("0", "nan")),
+            ("normal", ("0", "nan")),
+            ("normal", ("nan", "1")),
+            ("uniform", ("0", "inf")),
+            ("normal", ("0", "inf")),
+            ("normal", ("inf", "1")),
+        ],
+    )
+    def test_non_finite_params_exit_two(self, tmp_path, capsys, dist, params):
+        # NaN passes the B > A and sigma > 0 comparisons, and an infinite
+        # uniform bound maps every value to 0: both must blame --params.
+        path = self._write(tmp_path, "three.txt", [1.0, 2.0, 3.0])
+        code, out, err = run_cli(
+            capsys, "test", "--data", path, "--alpha", "0.05",
+            "--dist", dist, "--params", *params,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --params must be finite numbers")
+        assert "OutOfRange" not in err
+
     def test_report_fields_present(self, tmp_path, capsys):
         values = [(i + 1) / 11 for i in range(10)]
         path = self._write(tmp_path, "fields.txt", values)
@@ -412,3 +443,91 @@ class TestSimulateCommand:
             "--reps", "10", "--seed", "1",
         )
         assert code == 2
+
+
+# Runs in a fresh interpreter: the solver commands and calls with numpy
+# blocked, then the data commands with numpy allowed again.
+NUMPY_BLOCKED_SCRIPT = """
+import contextlib, io, json, sys
+
+sys.modules["numpy"] = None  # every `import numpy` now raises ImportError
+import kuiperpair
+import kuiperpair.cli
+
+def run(argvs):
+    results = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = kuiperpair.cli.main(argv)
+        results.append([code, out.getvalue()])
+    return results
+
+solver_argvs, calls, data_argvs = json.loads(sys.argv[1])
+report = {
+    "solver": run(solver_argvs),
+    "calls": [repr(eval(call, vars(kuiperpair))) for call in calls],
+    "blocked": sys.modules["numpy"] is None,
+}
+del sys.modules["numpy"]
+report["data"] = run(data_argvs)
+report["numpy_loaded"] = "numpy" in sys.modules
+print(json.dumps(report))
+"""
+
+
+class TestSolverPathWithoutNumpy:
+    SOLVER_ARGVS = [
+        ["pair", "--alpha", "0.05", "--n", "30"],
+        ["pair", "--alpha", "0.05", "--n", "30", "--test", "vnn", "--decimals", "8"],
+        ["table", "--alphas", "0.1,0.05,0.01", "--ns", "10,100,inf"],
+        ["table", "--alphas", "0.1,0.01", "--ns", "30,inf", "--test", "vnn",
+         "--format", "markdown"],
+        ["utq", "--alpha", "0.05", "--n", "30"],
+        ["ltq", "--alpha", "0.05", "--n", "30"],
+        ["invcdf", "--p", "0.95", "--n", "30"],
+        ["curve", "--n", "30", "--points", "11"],
+        ["--help"],
+        ["pair", "--help"],
+    ]
+    CALLS = [
+        "kuiper_pair_solver(2.45, 0.05, 30)",
+        "kuiper_pair_solver(2.45, 0.05, 30, TestKind.TWO_SAMPLE_EQUAL)",
+        "kuiper_utq(0.01, 100)",
+        "kuiper_inv_cdf(0.9, 50)",
+        "survival_vn(1.6, 10)",
+        "survival_vnn(1.6, 10)",
+    ]
+
+    def test_solver_commands_never_import_numpy(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the same --help wrapping in both processes
+        data = tmp_path / "data.txt"
+        data.write_text("".join(f"{(i + 0.5) / 40!r}\n" for i in range(40)), encoding="utf-8")
+        data_argvs = [
+            ["test", "--data", str(data), "--alpha", "0.05", "--pit"],
+            ["simulate", "--n", "30", "--alpha", "0.05", "--reps", "2000", "--seed", "42"],
+        ]
+        src = str(Path(kuiperpair.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_BLOCKED_SCRIPT,
+             json.dumps([self.SOLVER_ARGVS, self.CALLS, data_argvs])],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["blocked"]
+
+        def in_process(argvs):
+            results = []
+            for argv in argvs:
+                code = main(argv)
+                results.append([code, capsys.readouterr().out])
+            return results
+
+        expected = in_process(self.SOLVER_ARGVS)
+        assert all(code == 0 for code, _ in expected)
+        assert report["solver"] == expected
+        assert report["calls"] == [repr(eval(call, vars(kuiperpair))) for call in self.CALLS]
+        assert report["data"] == in_process(data_argvs)
+        assert report["numpy_loaded"]

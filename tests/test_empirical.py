@@ -254,6 +254,15 @@ class TestRunTest:
         assert decision.quantile == pytest.approx(0.4460, abs=5e-4)
         assert decision.reject
 
+    @pytest.mark.parametrize("kind", list(TestKind))
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 0.0, math.nan])
+    def test_one_alpha_rule_for_both_kinds(self, kind, alpha):
+        # kuiper_utq accepts alpha = 1 (returning 0.0), so the one-sample kind
+        # must check alpha itself or it rejects every v > 0.
+        result = EmpiricalResult(0.01, 0.01, 0.02, 0.11, 30)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            run_test(result, alpha, kind)
+
 
 class TestApproximatePValue:
     def test_reference_tail_value(self):
