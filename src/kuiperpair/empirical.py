@@ -78,11 +78,9 @@ def _sample(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def _ascending(x: np.ndarray) -> bool:
-    import numpy as np
-
     # Every comparison with NaN is False, so a NaN fails one of these; the
     # first-to-last comparison covers a single-element sample.
-    return bool(np.all(x[1:] >= x[:-1]) and x[0] <= x[-1])
+    return bool((x[1:] >= x[:-1]).all() and x[0] <= x[-1])
 
 
 def _deviations(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,11 +105,9 @@ def kuiper_statistic_one_sample(
     Raises ValueError (input not 1-D), EmptyInputError, OutOfRangeError
     (value outside [0, 1]) or UnsortedInputError.
     """
-    import numpy as np
-
     u = _sample(probabilities)
     in_range = (u >= 0.0) & (u <= 1.0)  # False for NaN as well
-    if not np.all(in_range):
+    if not in_range.all():
         bad = float(u[~in_range][0])
         raise OutOfRangeError(f"probability-scale value {bad!r} outside [0, 1]")
     if not _ascending(u):

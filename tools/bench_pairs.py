@@ -1,23 +1,28 @@
 """Alternating parent/change benchmark pairs, summarised into one BENCH_<PR>.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --seeds 101 102 103 \\
-        --workloads table-grid data-tests cli-cold --seconds 15 --out BENCH_10.json
+        --seconds 15 --out BENCH_10.json
 
-The parent revision is unpacked with ``git archive <rev> | tar -x`` into a
-temporary directory; the change is this checkout's working tree.  Pair ``i``
+The change is the committed ``HEAD``; the tool refuses to run while ``src/`` or
+``benchmarks/`` has uncommitted edits, since those would not be measured.  Both
+revisions are unpacked with ``git archive <rev> | tar -x`` into temporary
+directories, so the record names exactly the two trees it timed.  Pair ``i``
 runs ``benchmarks/run.py --trace 0`` on both sides with ``seeds[i]``, the
 parent first on even pairs and the change first on odd ones, cycling through
-the workloads inside each pair so that drift in the machine's load spreads
-evenly.  With ``--traced`` one ``--trace 1`` run per side and workload follows
-on the first seed, for the per-layer metrics.
+every workload of ``BENCHMARK.json`` inside each pair so that drift in the
+machine's load spreads evenly.  One ``--trace 1`` run per side and workload
+follows on the first seed, for the per-layer metrics.
 
 Each side runs its own ``benchmarks/`` code, as a benchmark of the two commits
-would.  The output holds every JSON line and, per workload and end-to-end
-metric, both sides' medians and quartiles, the change's wins over the pairs,
-and a verdict by these rules (bounds from ``BENCHMARK.json``):
+would.  The output holds every JSON line and, per workload, each side's share
+of failed operations and, per end-to-end metric, both sides' medians and
+quartiles, the change's wins over the pairs, and a verdict by these rules
+(bounds from ``BENCHMARK.json``).  A run whose outputs were not correct gives
+no metric values, so its pair is left out.
 
-- ``gain``: the change wins at least 9 in 10 pairs, ties counting for neither,
-  and the medians differ by more than the parent's interquartile range;
+- ``gain``: the change fails no larger share of operations than the parent,
+  wins at least 9 in 10 pairs, ties counting for neither, and the medians
+  differ by more than the parent's interquartile range;
 - ``worse``: the change's median is worse than the parent's by more than the
   bound, as a share of the parent's median;
 - ``unresolved``: the parent's interquartile range exceeds the bound and every
@@ -40,10 +45,14 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def unpack(rev: str, into: Path) -> str:
     """Extract the committed tree of ``rev`` into ``into``; return its full hash."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
-                            capture_output=True, text=True, check=True).stdout.strip()
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
     archive.stdout.close()
@@ -76,15 +85,20 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Wins and verdict for one metric; ``parent[i]`` and ``change[i]`` form pair i."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float,
+            fails_more: bool) -> dict:
+    """Wins and verdict for one metric; ``parent[i]`` and ``change[i]`` form pair i.
+
+    ``fails_more`` says the change failed a larger share of operations than the
+    parent on this workload, which withholds a gain.
+    """
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p, c = quartiles(parent), quartiles(change)
     spread = p["q3"] - p["q1"]
     gain = sign * (c["median"] - p["median"])
     base = abs(p["median"])
-    if 10 * wins >= 9 * len(parent) and gain > spread:
+    if not fails_more and 10 * wins >= 9 * len(parent) and gain > spread:
         call = "gain"
     elif base and -gain / base > bound:
         call = "worse"
@@ -99,14 +113,22 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
 
 
 def summarise(runs: list[dict], spec: dict) -> dict:
-    """Per workload and end-to-end metric, the pairs where both sides gave a value."""
+    """Per workload and end-to-end metric, the pairs where both sides ran correctly."""
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
+        timed = [r for r in runs if r["workload"] == workload and r["trace"] == 0
+                 and r["result"] is not None]
         by_pair: dict[int, dict] = {}
-        for r in runs:
-            if r["workload"] == workload and r["trace"] == 0 and r["result"] is not None:
+        for r in timed:
+            if r["result"]["correct"]:
                 by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
         complete = [sides for _, sides in sorted(by_pair.items()) if len(sides) == 2]
+        failed_share = {}
+        for side in ("parent", "change"):
+            attempted = sum(r["result"]["attempted"] for r in timed if r["side"] == side)
+            failed = sum(r["result"]["failed"] for r in timed if r["side"] == side)
+            failed_share[side] = failed / attempted if attempted else None
+        fails_more = (failed_share["change"] or 0.0) > (failed_share["parent"] or 0.0)
         rows = {}
         for metric in spec["end_to_end"]:
             name = metric["name"]
@@ -118,12 +140,13 @@ def summarise(runs: list[dict], spec: dict) -> dict:
             rows[name] = {"unit": metric["unit"], "better": metric["better"],
                           "bound": metric["bound"],
                           **verdict([p for p, _ in values], [c for _, c in values],
-                                    metric["better"], metric["bound"])}
+                                    metric["better"], metric["bound"], fails_more)}
         incorrect = sum(not r["result"]["correct"] for r in runs
                         if r["workload"] == workload and r["result"] is not None)
-        failed = sum(r["result"] is None for r in runs if r["workload"] == workload)
-        summary[workload] = {"pairs": len(complete), "incorrect_runs": incorrect,
-                             "failed_runs": failed, "metrics": rows}
+        crashed = sum(r["result"] is None for r in runs if r["workload"] == workload)
+        summary[workload] = {"pairs": len(complete), "failed_share": failed_share,
+                             "incorrect_runs": incorrect, "failed_runs": crashed,
+                             "metrics": rows}
     return summary
 
 
@@ -132,27 +155,28 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--seeds", type=int, nargs="+", required=True,
                         help="one seed per pair; the number of seeds is the number of pairs")
-    parser.add_argument("--workloads", nargs="+", required=True,
-                        choices=("table-grid", "data-tests", "cli-cold"))
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--traced", action="store_true",
-                        help="add one --trace 1 run per side and workload on the first seed")
     parser.add_argument("--out", type=Path, required=True, help="e.g. BENCH_10.json")
     args = parser.parse_args(argv)
 
+    if git("status", "--porcelain", "--", "src", "benchmarks"):
+        parser.error("src/ or benchmarks/ has uncommitted edits; commit them first, "
+                     "since the change measured is HEAD")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
     runs: list[dict] = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
-        parent = unpack(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp, side) for side in ("parent", "change")}
+        for tree in trees.values():
+            tree.mkdir()
+        commits = {"parent": unpack(args.parent, trees["parent"]),
+                   "change": unpack("HEAD", trees["change"])}
         plan = []
         for pair, seed in enumerate(args.seeds):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            plan += [(pair, w, seed, side, 0) for w in args.workloads for side in order]
-        if args.traced:
-            plan += [(None, w, args.seeds[0], side, 1) for w in args.workloads
-                     for side in ("parent", "change")]
+            plan += [(pair, w, seed, side, 0) for w in workloads for side in order]
+        plan += [(None, w, args.seeds[0], side, 1) for w in workloads
+                 for side in ("parent", "change")]
         for index, (pair, workload, seed, side, trace) in enumerate(plan, start=1):
             record = run_once(trees[side], workload, seed, args.seconds, trace)
             runs.append({"pair": pair, "workload": workload, "seed": seed, "side": side,
@@ -160,18 +184,12 @@ def main(argv=None) -> int:
             print(f"[{index}/{len(plan)}] pair={pair} {workload} seed={seed} {side} "
                   f"trace={trace}: exit {record['exit']} in {record['wall_s']:.1f} s",
                   file=sys.stderr, flush=True)
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                          text=True, check=False).stdout.strip()
-    dirty = bool(subprocess.run(["git", "status", "--porcelain", "--", "src", "benchmarks"],
-                                cwd=ROOT, capture_output=True, text=True,
-                                check=False).stdout.strip())
     report = {
-        "parent": parent,
-        "change": {"head": head, "uncommitted_src_or_benchmarks": dirty},
+        **commits,
         "command": [Path(sys.executable).name, "benchmarks/run.py", "--seconds",
                     str(args.seconds)],
         "seeds": args.seeds,
-        "workloads": args.workloads,
+        "workloads": workloads,
         "summary": summarise(runs, spec),
         "runs": runs,
     }
