@@ -19,7 +19,6 @@ from .empirical import (
     run_test,
 )
 from .errors import (
-    DerivativeNearZeroError,
     EmptyInputError,
     InadmissibleRootError,
     KuiperError,
@@ -57,7 +56,6 @@ __all__ = [
     "kuiper_statistic_two_sample",
     "monte_carlo_exceedance",
     "run_test",
-    "DerivativeNearZeroError",
     "EmptyInputError",
     "InadmissibleRootError",
     "KuiperError",

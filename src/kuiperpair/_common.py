@@ -7,10 +7,10 @@ x = c^2 on the sqrt(n)*V scale,
 
 with kappa = 2, s = 0 for the one-sample V_n and kappa = 1, s = 1/(6n) for
 the two-sample V_{n,n}.  Each statistic module supplies (x, P, Q, s) at a
-given (c, n); the survival, the Newton residual and the direct contraction
-below are written once for both.  Moving ``s`` to the alpha side keeps the
-log argument a polynomial plus a decaying exponential, so no exp(x) is ever
-formed.
+given (c, n), and the slopes (P', Q') of its factors; the survival, the
+residual, the direct contraction and the Newton map below are written once
+for both.  Moving ``s`` to the alpha side keeps the log argument a polynomial
+plus a decaying exponential, so no exp(x) is ever formed.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ def two_term_survival(kappa: float, factors: Factors) -> float:
 def two_term_residual(kappa: float, alpha: float, factors: Factors) -> float:
     """Residual kappa x + ln(alpha + s) - ln(P + Q e^{-3 kappa x}).
 
-    Zero exactly where :func:`two_term_survival` equals alpha; this is the
-    form handed to the Newton updater.  Raises NumericalDomainError where the
-    log argument is not positive.
+    Zero exactly where :func:`two_term_survival` equals alpha; the contraction
+    and the Newton map are both built on it.  Raises NumericalDomainError
+    where the log argument is not positive.
     """
     x, p, q, s = factors
     arg = p + q * math.exp(-3.0 * kappa * x)
@@ -60,8 +60,8 @@ def two_term_contraction(kappa: float, alpha: float, factors: Factors) -> float:
     """Contraction sqrt((ln(P + Q e^{-3 kappa x}) - ln(alpha + s)) / kappa).
 
     The radicand equals x - residual / kappa, so the fixed points are the
-    roots of :func:`two_term_residual`; this is the form handed to the direct
-    updater.
+    roots of :func:`two_term_residual`; this is the map direct iteration
+    applies.
     """
     radicand = factors[0] - two_term_residual(kappa, alpha, factors) / kappa
     if radicand < 0.0:
@@ -70,3 +70,25 @@ def two_term_contraction(kappa: float, alpha: float, factors: Factors) -> float:
             f"alpha={alpha:g}"
         )
     return math.sqrt(radicand)
+
+
+def two_term_newton(
+    kappa: float, c: float, alpha: float, factors: Factors, slopes: tuple[float, float]
+) -> float:
+    """Newton map c - f/f' of the residual f, with slopes (P', Q') = d(P, Q)/dc.
+
+    The residual's slope is 2 kappa c - (P' + (Q' - 6 kappa c Q) e^{-3 kappa x})
+    / (P + Q e^{-3 kappa x}).  It vanishes where the survival peaks, and there
+    NumericalDomainError is raised instead of dividing by zero.
+    """
+    residual = two_term_residual(kappa, alpha, factors)
+    (x, p, q, _s), (dp, dq) = factors, slopes
+    decay = math.exp(-3.0 * kappa * x)
+    log_slope = (dp + (dq - 6.0 * kappa * c * q) * decay) / (p + q * decay)
+    slope = 2.0 * kappa * c - log_slope
+    if slope == 0.0:
+        raise NumericalDomainError(
+            f"residual slope is zero at c={c:.6g}, where the tail model peaks; "
+            "retry with a guess nearer the root"
+        )
+    return c - residual / slope

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -35,6 +36,11 @@ from .quantile import (
 
 CURVE_P_MIN = 0.0002
 CURVE_P_MAX = 0.9998
+
+# argparse's own negative-number pattern (Python 3.11) has no exponent, so
+# it reads "--params -1e-3 1" as an option; any token that starts like a
+# negative number is taken as a value instead.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 _KIND_BY_NAME = {"vn": TestKind.ONE_SAMPLE, "vnn": TestKind.TWO_SAMPLE_EQUAL}
 _METHOD_BY_NAME = {"direct": IterationMethod.DIRECT, "newton": IterationMethod.NEWTON}
@@ -354,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--test", choices=("vn",), default="vn")
     simulate.set_defaults(handler=cmd_simulate)
 
+    for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

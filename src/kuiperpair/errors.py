@@ -20,16 +20,13 @@ class NumericalDomainError(KuiperError):
     """An intermediate quantity left the domain of log or sqrt."""
 
 
-class DerivativeNearZeroError(KuiperError):
-    """Newton slope estimate too close to zero to divide by safely."""
-
-
 class InadmissibleRootError(KuiperError):
     """Solved critical value lies outside the test's admissible range.
 
     A root must satisfy c_min < c < sqrt(n): c_min is 1/2 for the one-sample
-    test and 0 for the two-sample test, and c < sqrt(n) keeps the quantile
-    v = c/sqrt(n) below 1, the top of V's support.
+    test and 1 for the two-sample test, whose tail model peaks just below 1
+    and so has a spurious root on its rising branch; c < sqrt(n) keeps the
+    quantile v = c/sqrt(n) below 1, the top of V's support.
     """
 
 

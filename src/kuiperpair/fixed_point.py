@@ -1,9 +1,11 @@
-"""Scalar fixed-point iteration framework with direct and Newton updaters.
+"""Scalar fixed-point iteration framework.
 
 The solver repeatedly applies an updating operator ``T(f, c, alpha, n)`` until
-two successive iterates are closer than a tolerance.  The operator is either
-the contraction itself (direct iteration) or a Newton step built from a
-residual function (Newton iteration); both share one loop.
+two successive iterates are closer than a tolerance.  Both of the pair
+solver's methods use :func:`direct_update`, which applies a map ``f``: the
+contraction for direct iteration, the Newton map c - f/f' of the residual for
+Newton iteration.  :func:`newton_update` serves a residual whose slope is
+known only numerically.
 """
 
 from __future__ import annotations
@@ -12,15 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DerivativeNearZeroError, NonConvergenceError
+from .errors import NonConvergenceError, NumericalDomainError
 
-ResidualFn = Callable[[float, float, float], float]
-Updater = Callable[[ResidualFn, float, float, float], float]
+# A function of (c, alpha, n): the map an updater applies, or a residual.
+ScalarFn = Callable[[float, float, float], float]
+Updater = Callable[[ScalarFn, float, float, float], float]
 DistanceFn = Callable[[float, float], float]
-
-# Below this magnitude a forward-difference slope is treated as flat; dividing
-# by it would turn a quiet plateau into an enormous Newton step.
-DERIVATIVE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class SolverConfig:
 
     ``epsilon`` is the stopping distance between successive iterates,
     ``guess`` the initial iterate, ``max_iterations`` the update budget and
-    ``derivative_step`` the forward-difference step used by Newton updates.
+    ``derivative_step`` the forward-difference step of :func:`newton_update`.
     """
 
     epsilon: float = 1e-5
@@ -67,7 +66,7 @@ def distance(x: float, y: float) -> float:
 
 
 def newton_update(
-    residual_fn: ResidualFn,
+    residual_fn: ScalarFn,
     c: float,
     alpha: float,
     n: float,
@@ -75,46 +74,43 @@ def newton_update(
 ) -> float:
     """One Newton step c - f/f' with a forward-difference slope estimate.
 
-    Raises DerivativeNearZeroError when the residual is locally flat, the
-    failure mode of Newton iteration on plateaued residuals.
+    Raises NumericalDomainError where the estimated slope is zero.
     """
     value = residual_fn(c, alpha, n)
     slope = (residual_fn(c + step, alpha, n) - value) / step
-    if abs(slope) < DERIVATIVE_FLOOR:
-        raise DerivativeNearZeroError(
-            f"residual slope {slope:.3e} at c={c:.6g} is below {DERIVATIVE_FLOOR:g}"
-        )
+    if slope == 0.0:
+        raise NumericalDomainError(f"residual slope is zero at c={c:.6g}")
     return c - value / slope
 
 
-def direct_update(
-    contraction_fn: ResidualFn, c: float, alpha: float, n: float
-) -> float:
-    """One direct step: apply the contraction to the current iterate."""
-    return contraction_fn(c, alpha, n)
+def direct_update(map_fn: ScalarFn, c: float, alpha: float, n: float) -> float:
+    """One step: apply the map to the current iterate."""
+    return map_fn(c, alpha, n)
 
 
 def solve_fixed_point(
     updater: Updater,
-    residual_fn: ResidualFn,
+    fn: ScalarFn,
     dist: DistanceFn,
     config: SolverConfig,
     alpha: float,
     n: float,
 ) -> tuple[float, IterationTrace]:
-    """Iterate ``c <- updater(residual_fn, c, alpha, n)`` to a fixed point.
+    """Iterate ``c <- updater(fn, c, alpha, n)`` to a fixed point.
 
-    Starting from ``config.guess``, the loop stops as soon as the distance
-    between two successive iterates drops below ``config.epsilon`` and returns
-    the latest iterate together with the full trace.
+    ``fn`` is what the updater takes: the map itself for
+    :func:`direct_update`, the residual for :func:`newton_update`.  Starting
+    from ``config.guess``, the loop stops as soon as the distance between two
+    successive iterates drops below ``config.epsilon`` and returns the latest
+    iterate together with the full trace.
 
     Raises NonConvergenceError (with the partial trace attached) once
     ``config.max_iterations`` updates have been spent without meeting the
-    tolerance.  Domain errors raised by the updater or residual propagate.
+    tolerance.  Domain errors raised by the updater or ``fn`` propagate.
     """
     current = config.guess
     iterates = [current]
-    improved = updater(residual_fn, current, alpha, n)
+    improved = updater(fn, current, alpha, n)
     iterates.append(improved)
     gap = dist(improved, current)
     updates = 1
@@ -126,7 +122,7 @@ def solve_fixed_point(
                 trace=IterationTrace(tuple(iterates), False, gap),
             )
         current = improved
-        improved = updater(residual_fn, current, alpha, n)
+        improved = updater(fn, current, alpha, n)
         iterates.append(improved)
         gap = dist(improved, current)
         updates += 1

@@ -3,13 +3,12 @@
 A "Kuiper pair" couples the critical value c on the sqrt(n)*V scale with the
 quantile v = c / sqrt(n) on the V scale, solved jointly for a significance
 level alpha and sample size n.  The pair solver dispatches one of four
-residual/updater combinations: {one-sample, two-sample-equal} x
-{direct, Newton}.
+maps, {one-sample, two-sample-equal} x {direct, Newton}, through one
+updater.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,21 +16,10 @@ from enum import Enum
 
 from . import survival_vn, survival_vnn
 from .errors import InadmissibleRootError, UnboundedQuantileError
-from .fixed_point import (
-    SolverConfig,
-    direct_update,
-    distance,
-    newton_update,
-    solve_fixed_point,
-)
+from .fixed_point import SolverConfig, direct_update, distance, solve_fixed_point
 
 SOLVER_EPSILON = 1e-5
 DEFAULT_GUESS = 2.45
-# One-sample critical values at or below 1/2 are artifacts of the truncated
-# series (the factors turn negative in the large-n limit) and are rejected.
-# Roots of either test at or above sqrt(n) are rejected too: they put the
-# quantile v = c/sqrt(n) at or above 1, beyond the support of V.
-MIN_ADMISSIBLE_ROOT = 0.5
 
 # Guards of the quantile routines: alpha pinned to the degenerate end of the
 # distribution short-circuits to a zero quantile instead of a solve.
@@ -68,12 +56,19 @@ GUESS_WINDOWS: dict[tuple[TestKind, IterationMethod], tuple[float, float]] = {
     (TestKind.TWO_SAMPLE_EQUAL, IterationMethod.NEWTON): (2.2, 2.6),
 }
 
-_RESIDUALS = {
+_MAPS = {
     (TestKind.ONE_SAMPLE, IterationMethod.DIRECT): survival_vn.f_ctm1,
-    (TestKind.ONE_SAMPLE, IterationMethod.NEWTON): survival_vn.f_nlm1,
+    (TestKind.ONE_SAMPLE, IterationMethod.NEWTON): survival_vn.f_ntm1,
     (TestKind.TWO_SAMPLE_EQUAL, IterationMethod.DIRECT): survival_vnn.f_ctm2,
-    (TestKind.TWO_SAMPLE_EQUAL, IterationMethod.NEWTON): survival_vnn.f_nlm2,
+    (TestKind.TWO_SAMPLE_EQUAL, IterationMethod.NEWTON): survival_vnn.f_ntm2,
 }
+
+# Roots at or below these bounds are artifacts of the truncated series: the
+# one-sample factors turn negative below 1/2 in the large-n limit, and the
+# two-sample model peaks near c = 1 (0.84 at n = 1, 1.004 in the limit), so a
+# spurious root lies on its rising branch.  Roots at or above sqrt(n) are
+# rejected too: they put v = c/sqrt(n) at or above 1, beyond V's support.
+MIN_ADMISSIBLE_ROOTS = {TestKind.ONE_SAMPLE: 0.5, TestKind.TWO_SAMPLE_EQUAL: 1.0}
 
 
 @dataclass(frozen=True)
@@ -113,9 +108,10 @@ def kuiper_pair_solver(
     ``n`` may be ``math.inf`` (or any value >= 1e16) to request the exact
     large-sample limit.  Raises ValueError, before any GuessWindowWarning, for
     alpha outside (0, 1), n < 1 or NaN, or a guess that is not finite and
-    positive.  Raises NonConvergenceError, NumericalDomainError or
+    positive.  Raises NonConvergenceError, NumericalDomainError (also where a
+    Newton step lands on the model's peak, at zero slope) or
     InadmissibleRootError (a root at or below 1/2 for the one-sample test, at
-    or below 0 for the two-sample test, or at or above sqrt(n) for either).
+    or below 1 for the two-sample test, or at or above sqrt(n) for either).
     """
     check_alpha(alpha)
     check_n(n)
@@ -128,13 +124,9 @@ def kuiper_pair_solver(
             GuessWindowWarning,
             stacklevel=2,
         )
-    residual = _RESIDUALS[(kind, method)]
-    if method is IterationMethod.NEWTON:
-        updater = functools.partial(newton_update, step=config.derivative_step)
-    else:
-        updater = direct_update
-    critical, _trace = solve_fixed_point(updater, residual, distance, config, alpha, n)
-    c_min = MIN_ADMISSIBLE_ROOT if kind is TestKind.ONE_SAMPLE else 0.0
+    map_fn = _MAPS[(kind, method)]
+    critical = solve_fixed_point(direct_update, map_fn, distance, config, alpha, n)[0]
+    c_min = MIN_ADMISSIBLE_ROOTS[kind]
     root_n = math.sqrt(n)
     if not c_min < critical < root_n:
         raise InadmissibleRootError(

@@ -8,8 +8,9 @@ terms of each series in the classical asymptotic expansion, which collapses to
 
 with cubic polynomial factors A1, A2 in c: the shared two-term form of
 ``_common`` with kappa = 2 and no constant term.  Taking logs of that
-relation gives a residual ``f_nlm1`` whose root is the critical value, and an
-equivalent contraction ``f_ctm1`` whose fixed point is the same value.
+relation gives a residual ``f_nlm1`` whose root is the critical value, and two
+maps whose fixed point is that root: the contraction ``f_ctm1`` and the
+Newton map ``f_ntm1``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ._common import (
     Factors,
     is_infinite_n,
     two_term_contraction,
+    two_term_newton,
     two_term_residual,
     two_term_survival,
 )
@@ -36,6 +38,17 @@ def _factors(c: float, n: float) -> Factors:
         -2.0 + 8.0 * c / root_n + 8.0 * x - 32.0 * c**3 / (3.0 * root_n),
         -2.0 + 32.0 * c / root_n + 32.0 * x - 512.0 * c**3 / (3.0 * root_n),
         0.0,
+    )
+
+
+def _slopes(c: float, n: float) -> tuple[float, float]:
+    """(dA1/dc, dA2/dc) at (c, n)."""
+    if is_infinite_n(n):
+        return 16.0 * c, 64.0 * c
+    root_n = math.sqrt(n)
+    return (
+        8.0 / root_n + 16.0 * c - 32.0 * c * c / root_n,
+        32.0 / root_n + 64.0 * c - 512.0 * c * c / root_n,
     )
 
 
@@ -84,8 +97,7 @@ def series_survival_vn(c: float, n: float, terms: int = 2) -> float:
 def f_nlm1(c: float, alpha: float, n: float) -> float:
     """Residual 2c^2 + ln(alpha) - ln[A1 + A2 exp(-6c^2)].
 
-    Zero exactly where the two-term tail approximation equals alpha; this is
-    the form handed to the Newton updater.
+    Zero exactly where the two-term tail approximation equals alpha.
     """
     return two_term_residual(2.0, alpha, _factors(c, n))
 
@@ -94,6 +106,11 @@ def f_ctm1(c: float, alpha: float, n: float) -> float:
     """Contraction sqrt((ln[A1 + A2 exp(-6c^2)] - ln alpha) / 2).
 
     Its fixed points coincide with the roots of :func:`f_nlm1`; this is the
-    form handed to the direct updater.
+    map the direct method iterates.
     """
     return two_term_contraction(2.0, alpha, _factors(c, n))
+
+
+def f_ntm1(c: float, alpha: float, n: float) -> float:
+    """Newton map c - f_nlm1/f_nlm1', the map the Newton method iterates."""
+    return two_term_newton(2.0, c, alpha, _factors(c, n), _slopes(c, n))

@@ -8,12 +8,13 @@ series gives
 
 with polynomial factors U1, U2 in x: the shared two-term form of ``_common``
 with kappa = 1 and the series' standalone constant s = 1/(6n) (0 in the
-exact limit).  ``f_nlm2`` is the residual used by Newton iteration and
-``f_ctm2`` the contraction used by direct iteration,
+exact limit).  ``f_nlm2`` is the residual whose root is the critical value,
+``f_ntm2`` its Newton map and ``f_ctm2`` the contraction used by direct
+iteration,
 
     x = ln[U1 + U2 exp(-3x)] - ln[alpha + 1/(6n)].
 
-Both keep the constant on the alpha side.  Folding it into U1 as
+All keep the constant on the alpha side.  Folding it into U1 as
 -exp(x)/(6n) instead would overflow at large c and make the log fall steeply
 at small n: the contraction's slope at its own fixed point would reach -1.27
 at (alpha, n) = (0.01, 10), and Newton steps would land where the log
@@ -27,6 +28,7 @@ from ._common import (
     Factors,
     is_infinite_n,
     two_term_contraction,
+    two_term_newton,
     two_term_residual,
     two_term_survival,
 )
@@ -42,6 +44,17 @@ def _factors(c: float, n: float) -> Factors:
         2.0 * (2.0 * x - 1.0) - x * (2.0 * x - 7.0) / (6.0 * n),
         2.0 * (8.0 * x - 1.0) - 2.0 * x * (8.0 * x - 7.0) / (3.0 * n),
         1.0 / (6.0 * n),
+    )
+
+
+def _slopes(c: float, n: float) -> tuple[float, float]:
+    """(dU1/dc, dU2/dc) at (c, n), with x = c^2."""
+    if is_infinite_n(n):
+        return 8.0 * c, 32.0 * c
+    x = c * c
+    return (
+        2.0 * c * (4.0 - (4.0 * x - 7.0) / (6.0 * n)),
+        2.0 * c * (16.0 - 2.0 * (16.0 * x - 7.0) / (3.0 * n)),
     )
 
 
@@ -63,8 +76,7 @@ def survival_vnn(c: float, n: float) -> float:
 def f_nlm2(c: float, alpha: float, n: float) -> float:
     """Residual c^2 + ln[alpha + 1/(6n)] - ln[U1 + U2 exp(-3c^2)].
 
-    Its root is the critical value; this is the form handed to the Newton
-    updater.
+    Its root is the critical value.
     """
     return two_term_residual(1.0, alpha, _factors(c, n))
 
@@ -76,3 +88,8 @@ def f_ctm2(c: float, alpha: float, n: float) -> float:
     stays below 1, so direct iteration converges to it.
     """
     return two_term_contraction(1.0, alpha, _factors(c, n))
+
+
+def f_ntm2(c: float, alpha: float, n: float) -> float:
+    """Newton map c - f_nlm2/f_nlm2', the map the Newton method iterates."""
+    return two_term_newton(1.0, c, alpha, _factors(c, n), _slopes(c, n))

@@ -78,6 +78,15 @@ class TestPairCommand:
         assert "NumericalDomainError" in err
         assert out == ""
 
+    def test_two_sample_rising_branch_root_exits_one(self, capsys):
+        with pytest.warns(kuiperpair.GuessWindowWarning):
+            code, out, err = run_cli(
+                capsys, "pair", "--alpha", "0.05", "--n", "30", "--test", "vnn",
+                "--guess", "0.505",
+            )
+        assert code == 1 and out == ""
+        assert err.startswith("InadmissibleRootError: solved critical value 0.512208")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -328,6 +337,19 @@ class TestTestCommand:
         )
         assert code == 0
         assert "decision=ACCEPT" in out
+
+    def test_negative_params_with_exponent(self, tmp_path, capsys):
+        values = [-1.6, -1.1, -0.7, -0.4, -0.2, 0.0, 0.2, 0.4, 0.7, 1.1, 1.6]
+        path = self._write(tmp_path, "normal.txt", values)
+        outputs = [
+            run_cli(
+                capsys, "test", "--data", path, "--alpha", "0.05",
+                "--dist", "normal", "--params", mu, "1",
+            )
+            for mu in ("-0.001", "-1e-3", "-1E-3", "-.001")
+        ]
+        assert outputs[0][0] == 0 and "decision=ACCEPT" in outputs[0][1]
+        assert all(output == outputs[0] for output in outputs)
 
     def test_pit_out_of_range_exits_two(self, tmp_path, capsys):
         path = self._write(tmp_path, "bad.txt", [0.2, 0.5, 1.5])

@@ -1,11 +1,12 @@
-"""Tests for the generic fixed-point solver and its two updaters."""
+"""Tests for the generic fixed-point solver, its two updaters and the Newton maps."""
 
 import functools
 import math
 
 import pytest
 
-from kuiperpair.errors import DerivativeNearZeroError, NonConvergenceError
+from kuiperpair._common import two_term_newton
+from kuiperpair.errors import NonConvergenceError, NumericalDomainError
 from kuiperpair.fixed_point import (
     IterationTrace,
     SolverConfig,
@@ -14,11 +15,12 @@ from kuiperpair.fixed_point import (
     newton_update,
     solve_fixed_point,
 )
-from kuiperpair.survival_vn import f_ctm1, f_nlm1
+from kuiperpair.survival_vn import f_ctm1, f_nlm1, f_ntm1
+from kuiperpair.survival_vnn import f_nlm2, f_ntm2
+from oracles import bisect_root
 
-
-def _newton(step=1e-5):
-    return functools.partial(newton_update, step=step)
+# (residual, Newton map) of each statistic.
+NEWTON_MAPS = {"vn": (f_nlm1, f_ntm1), "vnn": (f_nlm2, f_ntm2)}
 
 
 class TestDistance:
@@ -75,16 +77,49 @@ class TestNewtonUpdate:
         assert abs(implied_slope - 2.0) < 1e-4
 
     def test_fixed_at_root(self):
+        updater = functools.partial(newton_update, step=1e-5)
         root = solve_fixed_point(
-            _newton(), f_nlm1, distance, SolverConfig(), 0.05, 30
+            updater, f_nlm1, distance, SolverConfig(), 0.05, 30
         )[0]
         stepped = newton_update(f_nlm1, root, 0.05, 30)
         assert abs(stepped - root) < 1e-4
 
     def test_flat_residual_raises(self):
         residual = lambda c, alpha, n: 1.0
-        with pytest.raises(DerivativeNearZeroError):
+        with pytest.raises(NumericalDomainError):
             newton_update(residual, 1.0, 0.0, 0)
+
+
+class TestNewtonMap:
+    @pytest.mark.parametrize("kind", sorted(NEWTON_MAPS))
+    @pytest.mark.parametrize("n", [10, 30, 1000, 10**6, math.inf])
+    @pytest.mark.parametrize("c", [0.8, 1.1, 1.5, 2.0, 2.5])
+    def test_step_matches_central_difference(self, kind, n, c):
+        # A wrong hand slope still converges to the right root, so only a
+        # step-by-step comparison off the root catches one.
+        residual, newton_map = NEWTON_MAPS[kind]
+        h = 1e-6
+        slope = (residual(c + h, 0.05, n) - residual(c - h, 0.05, n)) / (2 * h)
+        step = -residual(c, 0.05, n) / slope
+        assert newton_map(c, 0.05, n) - c == pytest.approx(step, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(NEWTON_MAPS))
+    @pytest.mark.parametrize("alpha,n", [(0.10, 10), (0.05, 30), (0.01, math.inf)])
+    def test_fixed_at_root(self, kind, alpha, n):
+        residual, newton_map = NEWTON_MAPS[kind]
+        solved, _ = solve_fixed_point(
+            direct_update, newton_map, distance, SolverConfig(), alpha, n
+        )
+        root = bisect_root(
+            lambda c: residual(c, alpha, n), solved - 1e-3, solved + 1e-3, tol=1e-14
+        )
+        assert abs(newton_map(root, alpha, n) - root) < 1e-12
+
+    def test_zero_slope_raises_domain_error(self):
+        # x = c = 1, P = 1, Q = 0, P' = 2 at kappa = 1: the slope
+        # 2 kappa c - P'/P is exactly 0.0 in floating point.
+        with pytest.raises(NumericalDomainError):
+            two_term_newton(1.0, 1.0, 0.05, (1.0, 1.0, 0.0, 0.0), (2.0, 0.0))
 
 
 class TestDirectUpdate:
@@ -113,7 +148,7 @@ class TestSolveFixedPoint:
 
     def test_newton_reaches_reference_value(self):
         result, trace = solve_fixed_point(
-            _newton(), f_nlm1, distance, SolverConfig(), 0.05, 30
+            direct_update, f_ntm1, distance, SolverConfig(), 0.05, 30
         )
         assert result == pytest.approx(1.6758, abs=5e-4)
         assert trace.converged
@@ -121,7 +156,7 @@ class TestSolveFixedPoint:
 
     def test_newton_reproduces_corrected_entry(self):
         result, _ = solve_fixed_point(
-            _newton(), f_nlm1, distance, SolverConfig(), 0.01, 30
+            direct_update, f_ntm1, distance, SolverConfig(), 0.01, 30
         )
         assert result == pytest.approx(1.9252, abs=5e-4)
 
@@ -132,17 +167,19 @@ class TestSolveFixedPoint:
         assert direct_result == pytest.approx(1.6758, abs=5e-4)
 
     def test_deterministic_iterates(self):
-        first = solve_fixed_point(_newton(), f_nlm1, distance, SolverConfig(), 0.05, 30)
-        second = solve_fixed_point(_newton(), f_nlm1, distance, SolverConfig(), 0.05, 30)
+        args = (direct_update, f_ntm1, distance, SolverConfig(), 0.05, 30)
+        first = solve_fixed_point(*args)
+        second = solve_fixed_point(*args)
         assert first[1].iterates == second[1].iterates
 
     @pytest.mark.parametrize("alpha,n", [(0.10, 10), (0.05, 30), (0.01, 100)])
     def test_convergence_certificate(self, alpha, n):
         config = SolverConfig()
-        updater = _newton(config.derivative_step)
-        result, trace = solve_fixed_point(updater, f_nlm1, distance, config, alpha, n)
+        result, trace = solve_fixed_point(
+            direct_update, f_ntm1, distance, config, alpha, n
+        )
         assert trace.converged
-        assert distance(updater(f_nlm1, result, alpha, n), result) < config.epsilon
+        assert distance(f_ntm1(result, alpha, n), result) < config.epsilon
 
     def test_divergent_updater_raises_within_cap(self):
         runaway = lambda f, c, alpha, n: c + 1.0
@@ -169,7 +206,7 @@ class TestMethodAgreement:
         for k in range(1, 11):
             alpha = k / 100.0
             newton_c, _ = solve_fixed_point(
-                _newton(), f_nlm1, distance, SolverConfig(guess=1.8), alpha, n
+                direct_update, f_ntm1, distance, SolverConfig(guess=1.8), alpha, n
             )
             direct_c, _ = solve_fixed_point(
                 direct_update, f_ctm1, distance, SolverConfig(guess=1.5), alpha, n

@@ -8,6 +8,7 @@ import pytest
 
 from kuiperpair.errors import (
     InadmissibleRootError,
+    KuiperError,
     NumericalDomainError,
     UnboundedQuantileError,
 )
@@ -83,6 +84,26 @@ class TestPairSolver:
         with pytest.warns(GuessWindowWarning):
             with pytest.raises(InadmissibleRootError):
                 kuiper_pair_solver(0.3, 0.10, 30)
+
+    def test_two_sample_rising_branch_root_rejected(self):
+        # The V_{n,n} model peaks just below c = 1, and a start below the
+        # peak finds its spurious root c = 0.5122 on the rising branch.
+        with pytest.warns(GuessWindowWarning):
+            with pytest.raises(InadmissibleRootError):
+                kuiper_pair_solver(0.505, 0.05, 30, TestKind.TWO_SAMPLE_EQUAL)
+
+    def test_newton_at_the_two_sample_peak_raises_no_bare_error(self):
+        # This guess is the V_{n,n} model's peak, where the residual's slope
+        # rounds to 0.0 on common libms; whether it does depends on the last
+        # bit of exp and log, so test_fixed_point checks the guard on exact
+        # inputs.  Here only a typed refusal or a root may come out.
+        with pytest.warns(GuessWindowWarning):
+            try:
+                kuiper_pair_solver(
+                    1.0035192347006507, 0.05, math.inf, TestKind.TWO_SAMPLE_EQUAL
+                )
+            except KuiperError:
+                pass
 
     @pytest.mark.parametrize("method", list(IterationMethod))
     @pytest.mark.parametrize("n", [2, 4])

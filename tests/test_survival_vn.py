@@ -1,6 +1,5 @@
 """Tests for the one-sample tail approximation and its residual/contraction."""
 
-import functools
 import math
 
 import pytest
@@ -10,7 +9,6 @@ from kuiperpair.fixed_point import (
     SolverConfig,
     direct_update,
     distance,
-    newton_update,
     solve_fixed_point,
 )
 from kuiperpair.survival_vn import (
@@ -18,6 +16,7 @@ from kuiperpair.survival_vn import (
     a2,
     f_ctm1,
     f_nlm1,
+    f_ntm1,
     series_survival_vn,
     survival_vn,
 )
@@ -26,9 +25,8 @@ INF = math.inf
 
 
 def _solve_newton(alpha, n, guess=2.45):
-    updater = functools.partial(newton_update, step=1e-5)
     return solve_fixed_point(
-        updater, f_nlm1, distance, SolverConfig(guess=guess), alpha, n
+        direct_update, f_ntm1, distance, SolverConfig(guess=guess), alpha, n
     )[0]
 
 

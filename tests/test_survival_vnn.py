@@ -1,6 +1,5 @@
 """Tests for the equal-size two-sample tail approximation."""
 
-import functools
 import math
 
 import pytest
@@ -8,13 +7,14 @@ import pytest
 from kuiperpair.errors import NumericalDomainError
 from kuiperpair.fixed_point import (
     SolverConfig,
+    direct_update,
     distance,
-    newton_update,
     solve_fixed_point,
 )
 from kuiperpair.survival_vnn import (
     f_ctm2,
     f_nlm2,
+    f_ntm2,
     survival_vnn,
     u1,
     u2,
@@ -26,9 +26,8 @@ INF = math.inf
 
 
 def _solve_newton(alpha, n, guess=2.45):
-    updater = functools.partial(newton_update, step=1e-5)
     return solve_fixed_point(
-        updater, f_nlm2, distance, SolverConfig(guess=guess), alpha, n
+        direct_update, f_ntm2, distance, SolverConfig(guess=guess), alpha, n
     )[0]
 
 
