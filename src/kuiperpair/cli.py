@@ -11,6 +11,7 @@ import argparse
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
@@ -42,8 +43,8 @@ CURVE_P_MAX = 0.9998
 # negative number is taken as a value instead.
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
-_KIND_BY_NAME = {"vn": TestKind.ONE_SAMPLE, "vnn": TestKind.TWO_SAMPLE_EQUAL}
-_METHOD_BY_NAME = {"direct": IterationMethod.DIRECT, "newton": IterationMethod.NEWTON}
+_TESTS = tuple(kind.value for kind in TestKind)
+_METHODS = tuple(method.value for method in IterationMethod)
 
 
 def _check_decimals(decimals: int) -> int:
@@ -170,8 +171,8 @@ def _probability_transform(values: list[float], args: argparse.Namespace) -> lis
 
 def cmd_pair(args: argparse.Namespace) -> int:
     pair = kuiper_pair_solver(
-        args.guess, args.alpha, args.n, _KIND_BY_NAME[args.test],
-        _METHOD_BY_NAME[args.method],
+        args.guess, args.alpha, args.n, TestKind(args.test),
+        IterationMethod(args.method),
     )
     c_text = format_number(pair.critical_value, args.decimals)
     v_text = format_number(pair.quantile, args.decimals)
@@ -224,7 +225,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     spec = TableSpec(
         alphas=args.alphas,
         ns=args.ns,
-        kind=_KIND_BY_NAME[args.test],
+        kind=TestKind(args.test),
         format=args.format,
         decimals=args.decimals,
     )
@@ -306,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--alpha", type=_ALPHA, required=True)
     pair.add_argument("--n", type=_N, required=True,
                       help="sample size, or 'inf' for the large-sample limit")
-    pair.add_argument("--test", choices=("vn", "vnn"), default="vn")
-    pair.add_argument("--method", choices=("direct", "newton"), default="newton")
+    pair.add_argument("--test", choices=_TESTS, default="vn")
+    pair.add_argument("--method", choices=_METHODS, default="newton")
     pair.add_argument("--guess", type=float, default=DEFAULT_GUESS)
     pair.set_defaults(handler=cmd_pair)
 
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated significance levels")
     table.add_argument("--ns", type=_list_arg(_N), required=True,
                        help="comma-separated sample sizes ('inf' allowed)")
-    table.add_argument("--test", choices=("vn", "vnn"), default="vn")
+    table.add_argument("--test", choices=_TESTS, default="vn")
     table.add_argument("--format", choices=("csv", "markdown"), default="csv")
     table.set_defaults(handler=cmd_table)
 
@@ -365,12 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    # One line, like the error lines: no source path or line, which would
+    # change with the install location.
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already reported the problem
         return int(exc.code or 0)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.handler(args)
     except KuiperError as exc:
@@ -379,6 +387,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def console_main() -> None:

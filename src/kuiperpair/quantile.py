@@ -44,17 +44,11 @@ class IterationMethod(Enum):
 
 
 class GuessWindowWarning(UserWarning):
-    """Initial guess lies outside the empirically safe window for the method."""
+    """Initial guess at or below the test's smallest admissible root.
 
+    Such a start lies on the truncated model's spurious side.
+    """
 
-# Empirically safe initial-guess windows per (test, method); a guess outside
-# its window still attempts the solve but draws a warning.
-GUESS_WINDOWS: dict[tuple[TestKind, IterationMethod], tuple[float, float]] = {
-    (TestKind.ONE_SAMPLE, IterationMethod.DIRECT): (0.5, 2.5),
-    (TestKind.ONE_SAMPLE, IterationMethod.NEWTON): (1.1, 2.5),
-    (TestKind.TWO_SAMPLE_EQUAL, IterationMethod.DIRECT): (2.4, 2.6),
-    (TestKind.TWO_SAMPLE_EQUAL, IterationMethod.NEWTON): (2.2, 2.6),
-}
 
 _MAPS = {
     (TestKind.ONE_SAMPLE, IterationMethod.DIRECT): survival_vn.f_ctm1,
@@ -108,25 +102,26 @@ def kuiper_pair_solver(
     ``n`` may be ``math.inf`` (or any value >= 1e16) to request the exact
     large-sample limit.  Raises ValueError, before any GuessWindowWarning, for
     alpha outside (0, 1), n < 1 or NaN, or a guess that is not finite and
-    positive.  Raises NonConvergenceError, NumericalDomainError (also where a
-    Newton step lands on the model's peak, at zero slope) or
-    InadmissibleRootError (a root at or below 1/2 for the one-sample test, at
-    or below 1 for the two-sample test, or at or above sqrt(n) for either).
+    positive.  Warns with GuessWindowWarning, whatever the method, when the
+    guess is at or below the smallest admissible root (1/2 for the one-sample
+    test, 1 for the two-sample test), then attempts the solve.  Raises
+    NonConvergenceError, NumericalDomainError (also where a Newton step lands
+    on the model's peak, at zero slope) or InadmissibleRootError (a root at or
+    below that same bound, or at or above sqrt(n)).
     """
     check_alpha(alpha)
     check_n(n)
     config = SolverConfig(epsilon=SOLVER_EPSILON, guess=guess)
-    window = GUESS_WINDOWS[(kind, method)]
-    if not window[0] < guess < window[1]:
+    c_min = MIN_ADMISSIBLE_ROOTS[kind]
+    if guess <= c_min:
         warnings.warn(
-            f"guess {guess:g} outside the recommended window {window} for "
-            f"{kind.value}/{method.value}; attempting the solve anyway",
+            f"guess {guess:g} is at or below {c_min:g}, the smallest admissible "
+            f"root for {kind.value}; attempting the solve anyway",
             GuessWindowWarning,
             stacklevel=2,
         )
     map_fn = _MAPS[(kind, method)]
     critical = solve_fixed_point(direct_update, map_fn, distance, config, alpha, n)[0]
-    c_min = MIN_ADMISSIBLE_ROOTS[kind]
     root_n = math.sqrt(n)
     if not c_min < critical < root_n:
         raise InadmissibleRootError(

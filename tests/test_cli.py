@@ -87,6 +87,30 @@ class TestPairCommand:
         assert code == 1 and out == ""
         assert err.startswith("InadmissibleRootError: solved critical value 0.512208")
 
+    def test_guess_warning_is_one_line_on_stderr(self):
+        # A fresh interpreter with default warning filters, as a user runs it.
+        src = str(Path(kuiperpair.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kuiperpair", "pair", "--alpha", "0.1", "--n", "30",
+             "--guess", "0.3"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "GuessWindowWarning: guess 0.3 is at or below 0.5, the smallest "
+            "admissible root for vn; attempting the solve anyway\n"
+            "InadmissibleRootError: solved critical value 0.297428 is outside the "
+            "admissible range (0.5, sqrt(n) = 5.47723) for vn, alpha=0.1, n=30\n"
+        )
+
+    def test_main_restores_the_warning_format(self, capsys):
+        before = warnings.formatwarning
+        with pytest.warns(kuiperpair.GuessWindowWarning):
+            run_cli(capsys, "pair", "--alpha", "0.1", "--n", "30", "--guess", "0.3")
+        assert warnings.formatwarning is before
+
     @pytest.mark.parametrize(
         "argv",
         [

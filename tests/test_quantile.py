@@ -13,6 +13,7 @@ from kuiperpair.errors import (
     UnboundedQuantileError,
 )
 from kuiperpair.quantile import (
+    MIN_ADMISSIBLE_ROOTS,
     GuessWindowWarning,
     IterationMethod,
     TestKind,
@@ -97,13 +98,12 @@ class TestPairSolver:
         # rounds to 0.0 on common libms; whether it does depends on the last
         # bit of exp and log, so test_fixed_point checks the guard on exact
         # inputs.  Here only a typed refusal or a root may come out.
-        with pytest.warns(GuessWindowWarning):
-            try:
-                kuiper_pair_solver(
-                    1.0035192347006507, 0.05, math.inf, TestKind.TWO_SAMPLE_EQUAL
-                )
-            except KuiperError:
-                pass
+        try:
+            kuiper_pair_solver(
+                1.0035192347006507, 0.05, math.inf, TestKind.TWO_SAMPLE_EQUAL
+            )
+        except KuiperError:
+            pass
 
     @pytest.mark.parametrize("method", list(IterationMethod))
     @pytest.mark.parametrize("n", [2, 4])
@@ -135,10 +135,27 @@ class TestPairSolver:
                 assert abs(roots[0] - roots[1]) < AGREEMENT_TOL, (alpha, n, roots)
         assert solved > 1500
 
-    def test_out_of_window_guess_warns_but_solves(self):
-        with pytest.warns(GuessWindowWarning):
+    def test_guess_above_the_root_solves_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             pair = kuiper_pair_solver(3.0, 0.05, 30)
         assert pair.critical_value == pytest.approx(1.6758, abs=5e-4)
+
+    @pytest.mark.parametrize("method", list(IterationMethod))
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_guess_warns_at_or_below_the_smallest_admissible_root(self, kind, method):
+        c_min = MIN_ADMISSIBLE_ROOTS[kind]
+        with pytest.warns(GuessWindowWarning):
+            try:
+                kuiper_pair_solver(c_min, 0.05, 30, kind, method)
+            except KuiperError:
+                pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                kuiper_pair_solver(math.nextafter(c_min, math.inf), 0.05, 30, kind, method)
+            except KuiperError:
+                pass
 
     def test_in_window_guess_does_not_warn(self):
         with warnings.catch_warnings():
