@@ -25,6 +25,7 @@ from .empirical import (
 from .errors import KuiperError, OutOfRangeError
 from .quantile import (
     DEFAULT_GUESS,
+    GuessWindowWarning,
     IterationMethod,
     TestKind,
     check_alpha,
@@ -381,7 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.handler(args)
-    except KuiperError as exc:
+    except (KuiperError, GuessWindowWarning) as exc:  # the warning under -W error
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

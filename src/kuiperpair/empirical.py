@@ -3,8 +3,8 @@
 The one-sample kernel is distribution-free: it expects probability-integral
 transformed values u_(i) = F0(x_(i)), already sorted ascending, and measures
 how far their empirical CDF strays above and below the uniform CDF.  The
-two-sample kernel compares two equal-size empirical CDFs over their merged
-breakpoints.
+two-sample kernel compares two equal-size empirical CDFs at each sample's own
+distinct values, where their difference rises or falls.
 
 numpy is imported inside the functions that build arrays, not at module
 level: the solvers are pure stdlib, so ``import kuiperpair`` and the
@@ -119,15 +119,25 @@ def kuiper_statistic_one_sample(
     )
 
 
+def _last_copies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value of sorted ``x`` and the count of elements <= it."""
+    import numpy as np
+
+    last = np.append(x[1:] != x[:-1], True)
+    return x[last], np.flatnonzero(last) + 1
+
+
 def kuiper_statistic_two_sample(
     sample_a: Sequence[float] | np.ndarray,
     sample_b: Sequence[float] | np.ndarray,
 ) -> EmpiricalResult:
     """Kuiper statistic between two equal-size sorted samples.
 
-    The two right-continuous empirical CDFs are compared at every distinct
-    merged value, which is where their difference can change; ties within and
-    across samples are handled by the shared breakpoint grid.
+    F_a - F_b rises only at values of ``a`` and falls only at values of ``b``,
+    so D+ is the largest count difference #a<=x - #b<=x over the distinct
+    values x of ``a``, and D- the same with the samples swapped.  The counts
+    are exact integers, so D+ and D- are whole counts over n; ties within and
+    across samples fall out of the <= counts.
 
     Raises ValueError (a sample not 1-D), EmptyInputError,
     LengthMismatchError (only n = m is supported by the matching quantiles)
@@ -145,12 +155,11 @@ def kuiper_statistic_two_sample(
     if not (_ascending(a) and _ascending(b)):
         raise UnsortedInputError("both samples must be sorted ascending, without NaN")
     n = a.size
-    grid = np.unique(np.concatenate([a, b]))
-    ecdf_a = np.searchsorted(a, grid, side="right") / n
-    ecdf_b = np.searchsorted(b, grid, side="right") / n
-    diff = ecdf_a - ecdf_b
-    d_plus = max(0.0, float(np.max(diff)))
-    d_minus = max(0.0, float(np.max(-diff)))
+    values_a, below_a = _last_copies(a)
+    values_b, below_b = _last_copies(b)
+    # At a sample's largest value its count is n, so neither maximum is negative.
+    d_plus = int((below_a - np.searchsorted(b, values_a, side="right")).max()) / n
+    d_minus = int((below_b - np.searchsorted(a, values_b, side="right")).max()) / n
     v = d_plus + d_minus
     return EmpiricalResult(
         d_plus=d_plus, d_minus=d_minus, v=v, k=math.sqrt(n) * v, n=int(n)

@@ -1,9 +1,10 @@
 """Independent oracles kept deliberately dumb and separate from the library.
 
 Bisection stands against the fixed-point solvers, direct counting of ECDF
-deviations stands against the order-statistic kernels, and a term-by-term
-tail series for the two-sample statistic stands against its closed two-term
-form.  None of these share code with the production paths they check.
+deviations stands against the order-statistic kernels, a two-pointer merge
+stands against the two-sample kernel at sizes counting cannot reach, and a
+term-by-term tail series for the two-sample statistic stands against its
+closed two-term form.  None of these share code with the production paths they check.
 """
 
 import math
@@ -61,6 +62,28 @@ def counting_two_sample(sample_a, sample_b):
         d_plus = max(d_plus, f_a - f_b)
         d_minus = max(d_minus, f_b - f_a)
     return d_plus, d_minus
+
+
+def merge_two_sample(sample_a, sample_b):
+    """(d_plus, d_minus) between two equal-size sorted samples by a merge walk.
+
+    Two pointers step through both samples together, one distinct value at a
+    time, past every copy of it in either sample; the integer count difference
+    after each step is F_a - F_b there, times n.  O(n), so it reaches sizes the
+    counting oracle cannot.
+    """
+    n = len(sample_a)
+    i = j = 0
+    top = bottom = 0
+    while i < n or j < n:
+        x = min(sample_a[i] if i < n else math.inf, sample_b[j] if j < n else math.inf)
+        while i < n and sample_a[i] == x:
+            i += 1
+        while j < n and sample_b[j] == x:
+            j += 1
+        top = max(top, i - j)
+        bottom = min(bottom, i - j)
+    return top / n, -bottom / n
 
 
 def series_survival_vnn(c, n, terms=2):

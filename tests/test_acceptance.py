@@ -166,7 +166,8 @@ def test_criterion_05_two_sample_table_reproduction():
 
 def test_criterion_06_method_cross_agreement():
     violations = []
-    # Midpoints of the recommended guess windows per test and method.
+    # Fixed guesses per test and method, each above MIN_ADMISSIBLE_ROOTS[kind]
+    # (0.5 for vn, 1.0 for vnn), so no start warns.
     grids = [
         (TestKind.ONE_SAMPLE, VN_GRID_ALPHAS, VN_GRID_NS, 1.8, 1.5),
         (TestKind.TWO_SAMPLE_EQUAL, VNN_GRID_ALPHAS, VNN_GRID_NS, 2.4, 2.5),

@@ -105,6 +105,22 @@ class TestPairCommand:
             "admissible range (0.5, sqrt(n) = 5.47723) for vn, alpha=0.1, n=30\n"
         )
 
+    def test_guess_warning_raised_as_error_is_one_line(self):
+        # Under -W error the warning is an exception; it still ends as one line.
+        src = str(Path(kuiperpair.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::UserWarning", "-m", "kuiperpair", "pair",
+             "--alpha", "0.1", "--n", "30", "--guess", "0.3"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "GuessWindowWarning: guess 0.3 is at or below 0.5, the smallest "
+            "admissible root for vn; attempting the solve anyway\n"
+        )
+
     def test_main_restores_the_warning_format(self, capsys):
         before = warnings.formatwarning
         with pytest.warns(kuiperpair.GuessWindowWarning):

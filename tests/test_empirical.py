@@ -1,6 +1,7 @@
 """Tests for the empirical statistic kernels, decisions and the simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from kuiperpair.errors import (
     UnsortedInputError,
 )
 from kuiperpair.quantile import TestKind, kuiper_utq
-from oracles import counting_one_sample, counting_two_sample
+from oracles import counting_one_sample, counting_two_sample, merge_two_sample
 
 # Fixed example sequence: the suite stays deterministic and needs no database.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -194,6 +195,59 @@ class TestTwoSampleStatistic:
             assert mapped.d_plus == base.d_plus
             assert mapped.d_minus == base.d_minus
             assert mapped.v == base.v
+
+
+def _merge_cases(n, seed):
+    """Seeded sorted sample pairs of size n, one per shape of tie."""
+    rng = np.random.default_rng(seed)
+    a, b = np.sort(rng.random(n)), np.sort(rng.random(n))
+    # Signed zeros compare equal, so -0.0 and 0.0 tie within and across samples.
+    specials = np.array([-np.inf, -0.0, 0.0, np.inf])
+    return {
+        "untied": (a, b),
+        "rounded": (np.round(a, 2), np.round(b, 2)),
+        "all_equal": (np.full(n, 0.5), np.full(n, 0.5)),
+        "a_below_b": (a, a + 2.0),
+        "b_below_a": (b + 2.0, b),
+        "inf_and_zero_ties": tuple(
+            np.sort(np.where(rng.random(n) < 0.5, rng.choice(specials, n), x)) for x in (a, b)
+        ),
+    }
+
+
+class TestTwoSampleAgainstMerge:
+    @pytest.mark.parametrize("n", [1, 2, 10**3, 10**4])
+    @pytest.mark.parametrize(
+        "case", ["untied", "rounded", "all_equal", "a_below_b", "b_below_a", "inf_and_zero_ties"]
+    )
+    def test_matches_merge_oracle(self, n, case):
+        a, b = _merge_cases(n, seed=n)[case]
+        result = kuiper_statistic_two_sample(a, b)
+        assert (result.d_plus, result.d_minus) == merge_two_sample(a.tolist(), b.tolist())
+        assert result.v == result.d_plus + result.d_minus
+        assert result.k == math.sqrt(n) * result.v
+
+    @pytest.mark.parametrize("n", [1, 2, 10**3, 10**4])
+    def test_deviations_are_whole_counts_over_n(self, n):
+        for a, b in _merge_cases(n, seed=n + 1).values():
+            result = kuiper_statistic_two_sample(a, b)
+            for d in (result.d_plus, result.d_minus):
+                assert d == round(d * n) / n
+
+    def test_peak_memory_per_input_value(self):
+        # About 24 B per input value (per-sample masks, counts and searches);
+        # a kernel that builds the merged grid of both samples needs 40-46 B.
+        n = 10**5
+        rng = np.random.default_rng(13)
+        a, b = np.sort(rng.random(n)), np.sort(rng.random(n))
+        kuiper_statistic_two_sample(a[:10], b[:10])  # numpy already imported
+        tracemalloc.start()
+        try:
+            kuiper_statistic_two_sample(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (2 * n) <= 32.0
 
 
 class TestKernelProperties:

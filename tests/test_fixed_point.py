@@ -202,7 +202,7 @@ class TestSolveFixedPoint:
 class TestMethodAgreement:
     @pytest.mark.parametrize("n", [10, 20, 30, 40, 100])
     def test_newton_direct_agree_across_alpha_grid(self, n):
-        # Both methods from the midpoints of their recommended guess windows.
+        # Both methods from fixed guesses above MIN_ADMISSIBLE_ROOTS (0.5 for vn).
         for k in range(1, 11):
             alpha = k / 100.0
             newton_c, _ = solve_fixed_point(
