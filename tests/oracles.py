@@ -4,7 +4,8 @@ Bisection stands against the fixed-point solvers, direct counting of ECDF
 deviations stands against the order-statistic kernels, a two-pointer merge
 stands against the two-sample kernel at sizes counting cannot reach, and a
 term-by-term tail series for the two-sample statistic stands against its
-closed two-term form.  None of these share code with the production paths they check.
+closed two-term form.  None of these share code with the production paths
+they check.
 """
 
 import math
