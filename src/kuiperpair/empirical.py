@@ -13,6 +13,7 @@ solver-only CLI commands never pay for loading it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -41,6 +42,10 @@ from .survival_vn import survival_vn
 # memory stays bounded; the chunk layout is a pure function of (n, reps),
 # keeping results reproducible for a fixed seed.
 _ELEMENT_BUDGET = 10_000_000
+
+# Distinct (alpha, n, kind) thresholds kept by run_test's memo; a caller
+# deciding many samples repeats a few keys, and the bound caps the memory.
+_THRESHOLD_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -88,9 +93,9 @@ def _deviations(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     n = u.shape[-1]
-    positions = np.arange(1.0, n + 1.0)
-    d_plus = np.maximum((positions / n - u).max(axis=-1), 0.0)
-    d_minus = np.maximum((u - (positions - 1.0) / n).max(axis=-1), 0.0)
+    steps = np.arange(n + 1.0) / n  # i/n for i = 0..n, each one exact division
+    d_plus = np.maximum((steps[1:] - u).max(axis=-1), 0.0)
+    d_minus = np.maximum((u - steps[:-1]).max(axis=-1), 0.0)
     return d_plus, d_minus
 
 
@@ -106,11 +111,14 @@ def kuiper_statistic_one_sample(
     (value outside [0, 1]) or UnsortedInputError.
     """
     u = _sample(probabilities)
-    in_range = (u >= 0.0) & (u <= 1.0)  # False for NaN as well
-    if not in_range.all():
-        bad = float(u[~in_range][0])
-        raise OutOfRangeError(f"probability-scale value {bad!r} outside [0, 1]")
-    if not _ascending(u):
+    # A sorted sample without NaN lies in [0, 1] exactly when its ends do; the
+    # elementwise check runs only on failure, so an out-of-range value is
+    # reported first, even in an unsorted sample.
+    if not (u[0] >= 0.0 and u[-1] <= 1.0 and _ascending(u)):
+        in_range = (u >= 0.0) & (u <= 1.0)  # False for NaN as well
+        if not in_range.all():
+            bad = float(u[~in_range][0])
+            raise OutOfRangeError(f"probability-scale value {bad!r} outside [0, 1]")
         raise UnsortedInputError("values must be sorted ascending")
     d_plus, d_minus = (float(d) for d in _deviations(u))
     v = d_plus + d_minus
@@ -173,21 +181,32 @@ def run_test(
 
     Equality keeps the null (the quantile is defined through a strict
     exceedance probability).  Both kinds take alpha in (0, 1) and raise
-    ValueError otherwise; solver errors propagate.
+    ValueError otherwise; solver errors propagate.  The quantile is memoised
+    per (alpha, n, kind), for at most 256 distinct keys.
     """
     check_alpha(alpha)
-    if kind is TestKind.ONE_SAMPLE:
-        threshold = kuiper_utq(alpha, result.n)
-    else:
-        threshold = kuiper_pair_solver(
-            DEFAULT_GUESS, alpha, result.n, kind, IterationMethod.NEWTON
-        ).quantile
+    threshold = _threshold(alpha, result.n, kind)
     return TestDecision(
         statistic=result,
         alpha=alpha,
         quantile=threshold,
         reject=result.v > threshold,
     )
+
+
+@functools.lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
+def _threshold(alpha: float, n: int | float, kind: TestKind) -> float:
+    """The alpha-quantile ``run_test`` compares against, memoised per key.
+
+    A refused solve raises and is not cached; no warning is lost, since
+    DEFAULT_GUESS lies above every admissible minimum.  n = 30 and n = 30.0
+    share an entry, and their arithmetic gives the same float.
+    """
+    if kind is TestKind.ONE_SAMPLE:
+        return kuiper_utq(alpha, n)
+    return kuiper_pair_solver(
+        DEFAULT_GUESS, alpha, n, kind, IterationMethod.NEWTON
+    ).quantile
 
 
 def approximate_p_value(result: EmpiricalResult) -> float:

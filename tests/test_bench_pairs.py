@@ -9,7 +9,8 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 SPEC = {"end_to_end": [{"name": "op_p50_us", "unit": "us", "better": "lower",
-                        "bound": 0.25}]}
+                        "bound": 0.25}],
+        "per_layer": [{"name": "kernel_ns", "unit": "ns", "better": "lower"}]}
 
 
 def run(pair, side, op_p50_us, *, correct=True, attempted=100, failed=0):
@@ -64,3 +65,41 @@ def test_incorrect_runs_give_no_metric_values():
     assert (summary["pairs"], summary["incorrect_runs"]) == (9, 1)
     assert row["parent"]["values"] == PARENT[1:]
     assert row["pairs"] == 9
+
+
+def traced(side, kernel_ns, *, correct=True):
+    return {"pair": None, "workload": "w", "seed": 0, "side": side, "trace": 1, "exit": 0,
+            "result": {"correct": correct, "attempted": 100, "failed": 0,
+                       "metrics": {"kernel_ns": {"value": kernel_ns}}}}
+
+
+def test_per_layer_metrics_get_quartiles_over_traced_runs_and_no_verdict():
+    runs = pairs(PARENT, FASTER) + [
+        traced("parent", 30.0), traced("change", 10.0), traced("change", 12.0),
+        traced("parent", 20.0), traced("parent", 25.0), traced("change", 11.0),
+        traced("change", 99.0, correct=False),
+    ]
+    row = bench_pairs.summarise(runs, SPEC)["w"]["per_layer"]["kernel_ns"]
+    assert row["parent"]["values"] == [30.0, 20.0, 25.0]
+    assert row["change"]["values"] == [10.0, 12.0, 11.0]
+    assert (row["parent"]["median"], row["change"]["median"]) == (25.0, 11.0)
+    assert row["parent"]["q1"] <= 25.0 <= row["parent"]["q3"]
+    assert "verdict" not in row
+    # Timed runs give no per-layer values, and traced runs no end-to-end ones.
+    assert bench_pairs.summarise(pairs(PARENT, FASTER), SPEC)["w"]["per_layer"] == {}
+    assert bench_pairs.summarise(runs, SPEC)["w"]["metrics"]["op_p50_us"]["pairs"] == 10
+
+
+def test_plan_traces_the_first_three_seeds_on_both_sides_alternating():
+    plan = bench_pairs.plan_runs([7, 8, 9, 10], ["a", "b"])
+    timed = [step for step in plan if step[4] == 0]
+    traced = [step for step in plan if step[4] == 1]
+    assert len(timed) == 4 * 2 * 2
+    assert {(pair, seed) for pair, _, seed, _, _ in timed} == {(0, 7), (1, 8), (2, 9), (3, 10)}
+    assert plan[len(timed):] == traced  # the traced runs follow the pairs
+    assert [(w, seed, side) for _, w, seed, side, _ in traced] == [
+        ("a", 7, "parent"), ("a", 7, "change"), ("b", 7, "parent"), ("b", 7, "change"),
+        ("a", 8, "change"), ("a", 8, "parent"), ("b", 8, "change"), ("b", 8, "parent"),
+        ("a", 9, "parent"), ("a", 9, "change"), ("b", 9, "parent"), ("b", 9, "change"),
+    ]
+    assert all(pair is None for pair, *_ in traced)

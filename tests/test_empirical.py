@@ -2,13 +2,17 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kuiperpair.empirical import (
+    _THRESHOLD_CACHE_SIZE,
     EmpiricalResult,
+    _deviations,
+    _threshold,
     approximate_p_value,
     kuiper_statistic_one_sample,
     kuiper_statistic_two_sample,
@@ -17,11 +21,19 @@ from kuiperpair.empirical import (
 )
 from kuiperpair.errors import (
     EmptyInputError,
+    InadmissibleRootError,
     LengthMismatchError,
+    NumericalDomainError,
     OutOfRangeError,
     UnsortedInputError,
 )
-from kuiperpair.quantile import TestKind, kuiper_utq
+from kuiperpair.quantile import (
+    DEFAULT_GUESS,
+    IterationMethod,
+    TestKind,
+    kuiper_pair_solver,
+    kuiper_utq,
+)
 from oracles import counting_one_sample, counting_two_sample, merge_two_sample
 
 # Fixed example sequence: the suite stays deterministic and needs no database.
@@ -76,6 +88,37 @@ class TestOneSampleStatistic:
     def test_nan_rejected(self):
         with pytest.raises(OutOfRangeError):
             kuiper_statistic_one_sample([0.1, math.nan, 0.9])
+
+    @pytest.mark.parametrize("values,bad", [([0.5, 1.5, 0.2], "1.5"), ([0.2, -0.1], "-0.1")])
+    def test_out_of_range_beats_unsorted(self, values, bad):
+        # Both ends lie in [0, 1] here, so only the elementwise check finds the value.
+        with pytest.raises(OutOfRangeError, match=f"value {bad} outside"):
+            kuiper_statistic_one_sample(values)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 12345])
+    def test_deviations_match_the_position_formula_bit_for_bit(self, n):
+        u = np.sort(np.random.default_rng(n).random((3, n)), axis=1)
+        positions = np.arange(1.0, n + 1.0)
+        for sample in (u, u[0]):
+            d_plus = np.maximum((positions / n - sample).max(axis=-1), 0.0)
+            d_minus = np.maximum((sample - (positions - 1.0) / n).max(axis=-1), 0.0)
+            got_plus, got_minus = _deviations(sample)
+            assert got_plus.tobytes() == d_plus.tobytes()
+            assert got_minus.tobytes() == d_minus.tobytes()
+
+    def test_peak_memory_per_input_value(self):
+        # One n + 1 grid and one difference array at a time: about 16 B per
+        # value; a separate elementwise range check and grid per side need 25 B.
+        n = 10**5
+        u = np.sort(np.random.default_rng(17).random(n))
+        kuiper_statistic_one_sample(u[:10])  # numpy already imported
+        tracemalloc.start()
+        try:
+            kuiper_statistic_one_sample(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 20.0
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(1234)
@@ -311,6 +354,59 @@ class TestRunTest:
         result = EmpiricalResult(0.01, 0.01, 0.02, 0.11, 30)
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             run_test(result, alpha, kind)
+
+    # The benchmark's decision keys: four small sizes, then the log-midpoints
+    # of twelve strata over [1e5, 1e6], and 1e6 itself.
+    DECISION_NS = (100, 200, 500, 1000, 110069, 133352, 161559, 195734, 237137, 287298,
+                   348070, 421696, 510896, 618965, 749894, 908517, 10**6)
+
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_memoised_threshold_is_the_direct_solve(self, kind):
+        _threshold.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (0.10, 0.05, 0.01):
+                for n in self.DECISION_NS:
+                    if kind is TestKind.ONE_SAMPLE:
+                        direct = kuiper_utq(alpha, n)
+                    else:
+                        direct = kuiper_pair_solver(
+                            DEFAULT_GUESS, alpha, n, kind, IterationMethod.NEWTON
+                        ).quantile
+                    result = EmpiricalResult(0.0, 0.0, 0.0, 0.0, n)
+                    for _ in range(2):
+                        assert run_test(result, alpha, kind).quantile == direct
+
+    @pytest.mark.parametrize(
+        "kind,alpha,n,error",
+        [
+            (TestKind.ONE_SAMPLE, 0.05, 2, NumericalDomainError),
+            (TestKind.TWO_SAMPLE_EQUAL, 0.01, 5, InadmissibleRootError),
+        ],
+    )
+    def test_refused_solve_raises_on_every_call(self, kind, alpha, n, error):
+        result = EmpiricalResult(0.1, 0.1, 0.2, 0.2 * math.sqrt(n), n)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                run_test(result, alpha, kind)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_integral_and_float_n_share_a_threshold(self, kind):
+        _threshold.cache_clear()
+        as_float = run_test(EmpiricalResult(0.1, 0.1, 0.2, 1.1, 30.0), 0.05, kind).quantile
+        _threshold.cache_clear()
+        as_int = run_test(EmpiricalResult(0.1, 0.1, 0.2, 1.1, 30), 0.05, kind).quantile
+        assert as_float == as_int
+
+    def test_memo_is_bounded(self):
+        _threshold.cache_clear()
+        result = EmpiricalResult(0.0, 0.0, 0.0, 0.0, 1000)
+        for i in range(_THRESHOLD_CACHE_SIZE + 20):
+            run_test(result, (i + 1) / 1000, TestKind.ONE_SAMPLE)
+        assert _threshold.cache_info().currsize == _THRESHOLD_CACHE_SIZE
 
 
 class TestApproximatePValue:

@@ -10,15 +10,18 @@ directories, so the record names exactly the two trees it timed.  Pair ``i``
 runs ``benchmarks/run.py --trace 0`` on both sides with ``seeds[i]``, the
 parent first on even pairs and the change first on odd ones, cycling through
 every workload of ``BENCHMARK.json`` inside each pair so that drift in the
-machine's load spreads evenly.  One ``--trace 1`` run per side and workload
-follows on the first seed, for the per-layer metrics.
+machine's load spreads evenly.  ``--trace 1`` runs follow on the first three
+seeds, per side and workload and alternating in the same way, for the
+per-layer metrics: one run cannot tell a layer's change from noise.
 
 Each side runs its own ``benchmarks/`` code, as a benchmark of the two commits
 would.  The output holds every JSON line and, per workload, each side's share
 of failed operations and, per end-to-end metric, both sides' medians and
 quartiles, the change's wins over the pairs, and a verdict by these rules
-(bounds from ``BENCHMARK.json``).  A run whose outputs were not correct gives
-no metric values, so its pair is left out.
+(bounds from ``BENCHMARK.json``).  Per per-layer metric it holds each side's
+median and quartiles over the traced runs, with no verdict: the benchmark
+fixes no bound for them.  A run whose outputs were not correct gives no metric
+values, so its pair is left out.
 
 - ``gain``: the change fails no larger share of operations than the parent,
   wins at least 9 in 10 pairs, ties counting for neither, and the medians
@@ -43,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+TRACED_SEEDS = 3
 
 
 def git(*args: str) -> str:
@@ -78,6 +82,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         record["result"] = None
         record["stderr_tail"] = proc.stderr[-2000:]
     return record
+
+
+def plan_runs(seeds: list[int], workloads: list[str]) -> list[tuple]:
+    """(pair, workload, seed, side, trace) in run order; traced runs have no pair."""
+    plan = []
+    for trace, chosen in ((0, seeds), (1, seeds[:TRACED_SEEDS])):
+        for index, seed in enumerate(chosen):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            pair = None if trace else index
+            plan += [(pair, w, seed, side, trace) for w in workloads for side in order]
+    return plan
 
 
 def quartiles(values: list[float]) -> dict:
@@ -141,12 +156,23 @@ def summarise(runs: list[dict], spec: dict) -> dict:
                           "bound": metric["bound"],
                           **verdict([p for p, _ in values], [c for _, c in values],
                                     metric["better"], metric["bound"], fails_more)}
+        traced = [r for r in runs if r["workload"] == workload and r["trace"] == 1
+                  and r["result"] is not None and r["result"]["correct"]]
+        layers = {}
+        for metric in spec["per_layer"]:
+            name = metric["name"]
+            sides = {side: [r["result"]["metrics"][name]["value"] for r in traced
+                            if r["side"] == side and name in r["result"]["metrics"]]
+                     for side in ("parent", "change")}
+            if all(sides.values()):
+                layers[name] = {"unit": metric["unit"], "better": metric["better"],
+                                **{side: quartiles(v) for side, v in sides.items()}}
         incorrect = sum(not r["result"]["correct"] for r in runs
                         if r["workload"] == workload and r["result"] is not None)
         crashed = sum(r["result"] is None for r in runs if r["workload"] == workload)
         summary[workload] = {"pairs": len(complete), "failed_share": failed_share,
                              "incorrect_runs": incorrect, "failed_runs": crashed,
-                             "metrics": rows}
+                             "metrics": rows, "per_layer": layers}
     return summary
 
 
@@ -171,12 +197,7 @@ def main(argv=None) -> int:
             tree.mkdir()
         commits = {"parent": unpack(args.parent, trees["parent"]),
                    "change": unpack("HEAD", trees["change"])}
-        plan = []
-        for pair, seed in enumerate(args.seeds):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            plan += [(pair, w, seed, side, 0) for w in workloads for side in order]
-        plan += [(None, w, args.seeds[0], side, 1) for w in workloads
-                 for side in ("parent", "change")]
+        plan = plan_runs(args.seeds, workloads)
         for index, (pair, workload, seed, side, trace) in enumerate(plan, start=1):
             record = run_once(trees[side], workload, seed, args.seconds, trace)
             runs.append({"pair": pair, "workload": workload, "seed": seed, "side": side,
@@ -199,6 +220,9 @@ def main(argv=None) -> int:
             print(f"{workload:11s} {name:13s} parent {row['parent']['median']:.6g} "
                   f"change {row['change']['median']:.6g} {row['unit']}  "
                   f"wins {row['change_wins']}/{row['pairs']}  {row['verdict']}")
+        for name, row in rows["per_layer"].items():
+            print(f"{workload:11s} {name} parent {row['parent']['median']:.6g} "
+                  f"change {row['change']['median']:.6g} {row['unit']}")
     return 0 if all(r["exit"] == 0 for r in runs) else 1
 
 
