@@ -93,7 +93,7 @@ def _deviations(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     n = u.shape[-1]
-    steps = np.arange(n + 1.0) / n  # i/n for i = 0..n, each one exact division
+    steps = np.arange(n + 1.0) / n  # i/n for i = 0..n
     d_plus = np.maximum((steps[1:] - u).max(axis=-1), 0.0)
     d_minus = np.maximum((u - steps[:-1]).max(axis=-1), 0.0)
     return d_plus, d_minus
