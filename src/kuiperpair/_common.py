@@ -44,11 +44,11 @@ def two_term_residual(kappa: float, alpha: float, factors: Factors) -> float:
 
     Zero exactly where :func:`two_term_survival` equals alpha; the contraction
     and the Newton map are both built on it.  Raises NumericalDomainError
-    where the log argument is not positive.
+    where the log argument is not positive, NaN included.
     """
     x, p, q, s = factors
     arg = p + q * math.exp(-3.0 * kappa * x)
-    if arg <= 0.0:
+    if not arg > 0.0:
         raise NumericalDomainError(
             f"P + Q*exp(-{3.0 * kappa:g}c^2) = {arg:.6g} is not positive at "
             f"c={math.sqrt(x):.6g}; retry with a guess inside the admissible region"

@@ -12,7 +12,6 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
@@ -54,24 +53,6 @@ def _check_decimals(decimals: int) -> int:
     return decimals
 
 
-@dataclass(frozen=True)
-class TableSpec:
-    """Grid and formatting request for table generation."""
-
-    alphas: tuple[float, ...]
-    ns: tuple[int | float, ...]
-    kind: TestKind
-    format: str = "csv"
-    decimals: int = 4
-
-    def __post_init__(self) -> None:
-        if not self.alphas or not self.ns:
-            raise ValueError("alphas and ns must be nonempty")
-        if self.format not in ("csv", "markdown"):
-            raise ValueError(f"format must be csv or markdown, got {self.format!r}")
-        _check_decimals(self.decimals)
-
-
 def round_half_away(value: float, decimals: int) -> float:
     """Round to ``decimals`` places with ties going away from zero."""
     quantum = Decimal(1).scaleb(-decimals)
@@ -104,8 +85,13 @@ def _arg(convert, check):
 
 
 def _list_arg(item):
-    """argparse type: a comma-separated list, each piece parsed by ``item``."""
-    return lambda text: tuple(item(piece) for piece in text.split(",") if piece.strip())
+    """argparse type: a nonempty comma-separated list, each piece parsed by ``item``."""
+    def parse(text: str):
+        values = tuple(item(piece) for piece in text.split(",") if piece.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a nonempty list, got {text!r}")
+        return values
+    return parse
 
 
 _ALPHA = _arg(float, check_alpha)
@@ -181,56 +167,43 @@ def cmd_pair(args: argparse.Namespace) -> int:
     return 0
 
 
-def render_table(spec: TableSpec) -> tuple[str, list[str]]:
-    """Render the table and return (text, list of per-cell failure notes)."""
-    cells: dict[tuple[float, int | float], tuple[str, str]] = {}
+def render_table(alphas: Sequence[float], ns: Sequence[int | float], kind: TestKind,
+                 format: str = "csv", decimals: int = 4) -> tuple[str, list[str]]:
+    """Render the csv or markdown table; return (text, per-cell failure notes)."""
+    if format == "csv":
+        lines = ["alpha,n,c,v"]
+    else:
+        lines = ["| alpha | " + " | ".join(f"n={_format_n(n)}" for n in ns) + " |",
+                 "| --- |" + " --- |" * len(ns)]
     failures: list[str] = []
-    for alpha in spec.alphas:
-        for n in spec.ns:
+    for alpha in alphas:
+        row = [f"{alpha:g}"]
+        for n in ns:
             try:
                 pair = kuiper_pair_solver(
-                    DEFAULT_GUESS, alpha, n, spec.kind, IterationMethod.NEWTON
+                    DEFAULT_GUESS, alpha, n, kind, IterationMethod.NEWTON
                 )
             except KuiperError as exc:
-                cells[(alpha, n)] = ("NA", "NA")
                 failures.append(
                     f"(alpha={alpha:g}, n={_format_n(n)}): {type(exc).__name__}"
                 )
-                continue
-            cells[(alpha, n)] = (
-                format_number(pair.critical_value, spec.decimals),
-                format_number(pair.quantile, spec.decimals),
-            )
-    lines: list[str] = []
-    if spec.format == "csv":
-        lines.append("alpha,n,c,v")
-        for alpha in spec.alphas:
-            for n in spec.ns:
-                c_text, v_text = cells[(alpha, n)]
+                c_text = v_text = "NA"
+            else:
+                c_text = format_number(pair.critical_value, decimals)
+                v_text = format_number(pair.quantile, decimals)
+            if format == "csv":
                 lines.append(f"{alpha:g},{_format_n(n)},{c_text},{v_text}")
-    else:
-        header = "| alpha | " + " | ".join(f"n={_format_n(n)}" for n in spec.ns) + " |"
-        rule = "| --- |" + " --- |" * len(spec.ns)
-        lines.append(header)
-        lines.append(rule)
-        for alpha in spec.alphas:
-            row = [f"{alpha:g}"]
-            for n in spec.ns:
-                c_text, v_text = cells[(alpha, n)]
+            else:
                 row.append("NA" if c_text == "NA" else f"({c_text}, {v_text})")
+        if format != "csv":
             lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n", failures
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    spec = TableSpec(
-        alphas=args.alphas,
-        ns=args.ns,
-        kind=TestKind(args.test),
-        format=args.format,
-        decimals=args.decimals,
+    text, failures = render_table(
+        args.alphas, args.ns, TestKind(args.test), args.format, args.decimals
     )
-    text, failures = render_table(spec)
     sys.stdout.write(text)
     if failures:
         print(f"{len(failures)} cell(s) unsolvable: " + "; ".join(failures),

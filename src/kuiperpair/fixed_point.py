@@ -102,28 +102,27 @@ def solve_fixed_point(
     :func:`direct_update`, the residual for :func:`newton_update`.  Starting
     from ``config.guess``, the loop stops as soon as the distance between two
     successive iterates drops below ``config.epsilon`` and returns the latest
-    iterate together with the full trace.
+    iterate together with the full trace; a NaN distance never stops it.
 
     Raises NonConvergenceError (with the partial trace attached) once
     ``config.max_iterations`` updates have been spent without meeting the
-    tolerance.  Domain errors raised by the updater or ``fn`` propagate.
+    tolerance, and NumericalDomainError where an update overflows.  Domain
+    errors raised by the updater or ``fn`` propagate.
     """
     current = config.guess
     iterates = [current]
-    improved = updater(fn, current, alpha, n)
-    iterates.append(improved)
-    gap = dist(improved, current)
-    updates = 1
-    while gap >= config.epsilon:
-        if updates >= config.max_iterations:
-            raise NonConvergenceError(
-                f"no convergence within {config.max_iterations} iterations "
-                f"(last distance {gap:.3e}, alpha={alpha:g}, n={n:g})",
-                trace=IterationTrace(tuple(iterates), False, gap),
-            )
-        current = improved
-        improved = updater(fn, current, alpha, n)
+    for _ in range(config.max_iterations):
+        try:
+            improved = updater(fn, current, alpha, n)
+        except OverflowError as exc:
+            raise NumericalDomainError(f"the model overflows at c={current:.6g}") from exc
         iterates.append(improved)
         gap = dist(improved, current)
-        updates += 1
-    return improved, IterationTrace(tuple(iterates), True, gap)
+        if gap < config.epsilon:
+            return improved, IterationTrace(tuple(iterates), True, gap)
+        current = improved
+    raise NonConvergenceError(
+        f"no convergence within {config.max_iterations} iterations "
+        f"(last distance {gap:.3e}, alpha={alpha:g}, n={n:g})",
+        trace=IterationTrace(tuple(iterates), False, gap),
+    )

@@ -21,10 +21,9 @@ from .fixed_point import SolverConfig, direct_update, distance, solve_fixed_poin
 SOLVER_EPSILON = 1e-5
 DEFAULT_GUESS = 2.45
 
-# Guards of the quantile routines: alpha pinned to the degenerate end of the
+# Guard of the quantile routines: alpha pinned to the degenerate end of the
 # distribution short-circuits to a zero quantile instead of a solve.
 UPPER_TAIL_GUARD = 0.9999
-LOWER_TAIL_GUARD = 0.0001
 
 
 class TestKind(Enum):
@@ -158,15 +157,13 @@ def kuiper_utq(alpha: float, n: int | float) -> float:
 def kuiper_ltq(alpha: float, n: int | float) -> float:
     """Lower tail quantile, the complement identity of :func:`kuiper_utq`.
 
-    ``alpha`` lies in [0, 1).  Returns 0.0 for alpha <= 0.0001; otherwise the
-    lower tail quantile at level alpha equals the upper tail quantile at
-    level 1 - alpha.
+    ``alpha`` lies in [0, 1).  The lower tail quantile at level alpha is the
+    upper tail quantile at level 1 - alpha, so it inherits that guard: 0.0
+    for alpha <= 0.0001, where 1 - alpha rounds to 0.9999 or above.
     """
     check_n(n)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    if alpha <= LOWER_TAIL_GUARD:
-        return 0.0
     return kuiper_utq(1.0 - alpha, n)
 
 

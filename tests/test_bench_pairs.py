@@ -103,3 +103,33 @@ def test_plan_traces_the_first_three_seeds_on_both_sides_alternating():
         ("a", 9, "parent"), ("a", 9, "change"), ("b", 9, "parent"), ("b", 9, "change"),
     ]
     assert all(pair is None for pair, *_ in traced)
+
+
+def test_workload_free_layers_are_pooled_over_every_workload():
+    spec = {"end_to_end": [], "per_layer": [
+        {"name": "empirical.kernel_ns", "unit": "ns", "better": "lower"},
+        {"name": "cli.main_us", "unit": "us", "better": "lower"},
+        {"name": "fixed_point.solve_us", "unit": "us", "better": "lower"}]}
+
+    def traced_in(workload, side, value, correct=True):
+        metrics = {name: {"value": value} for name in
+                   ("empirical.kernel_ns", "cli.main_us", "fixed_point.solve_us")}
+        return {"pair": None, "workload": workload, "seed": 0, "side": side, "trace": 1,
+                "exit": 0, "result": {"correct": correct, "attempted": 1, "failed": 0,
+                                      "metrics": metrics}}
+
+    runs = [traced_in(w, side, value + (10.0 if side == "change" else 0.0))
+            for w, base in (("a", 1.0), ("b", 4.0), ("c", 7.0))
+            for value in (base, base + 1.0, base + 2.0) for side in ("parent", "change")]
+    runs.append(traced_in("a", "change", 99.0, correct=False))
+    runs += pairs(PARENT, FASTER)  # timed runs add nothing to the pool
+    pooled = bench_pairs.pool_layers(runs, spec)
+    assert set(pooled) == {"empirical.kernel_ns", "cli.main_us"}
+    row = pooled["empirical.kernel_ns"]
+    assert row["parent"]["values"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+    assert (row["parent"]["median"], row["change"]["median"]) == (5.0, 15.0)
+    assert row["parent"]["q1"] < 5.0 < row["parent"]["q3"]
+    assert "verdict" not in row
+    # Each workload still reports its own three traced runs.
+    per_workload = bench_pairs.summarise(runs, spec)["b"]["per_layer"]
+    assert per_workload["empirical.kernel_ns"]["parent"]["values"] == [4.0, 5.0, 6.0]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import kuiperpair
-from kuiperpair.cli import format_number, main, render_table, round_half_away, TableSpec
+from kuiperpair.cli import format_number, main, render_table, round_half_away
 from kuiperpair.quantile import TestKind, kuiper_ltq, kuiper_utq
 from reference_tables import VN_PAIRS, VNN_PAIRS
 
@@ -150,6 +150,14 @@ class TestPairCommand:
         assert code == 2 and out == ""
         assert err == f"error: guess must be finite and positive, got {float(guess)}\n"
 
+    @pytest.mark.parametrize("extra", [("--guess", "1e103"),
+                                       ("--test", "vnn", "--guess", "1e200")])
+    def test_huge_guess_exits_one_on_one_line(self, capsys, extra):
+        code, out, err = run_cli(capsys, "pair", "--alpha", "0.05", "--n", "30", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("NumericalDomainError: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "pair", "--alpha", "0.01", "--n", "30")
         _, second, _ = run_cli(capsys, "pair", "--alpha", "0.01", "--n", "30")
@@ -239,15 +247,21 @@ class TestTableCommand:
         )
         assert code == 2
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            TableSpec(alphas=(), ns=(30,), kind=TestKind.ONE_SAMPLE)
-        with pytest.raises(ValueError):
-            TableSpec(alphas=(0.05,), ns=(30,), kind=TestKind.ONE_SAMPLE, format="html")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--alphas", ",", "--ns", "30"),
+            ("--alphas", "0.05", "--ns", " "),
+            ("--alphas", "0.05", "--ns", "30", "--format", "html"),
+        ],
+    )
+    def test_empty_list_or_unknown_format_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == 2 and out == ""
+        assert "usage:" in err
 
     def test_render_table_reports_failures(self):
-        spec = TableSpec(alphas=(0.05,), ns=(5,), kind=TestKind.ONE_SAMPLE)
-        text, failures = render_table(spec)
+        text, failures = render_table((0.05,), (5,), TestKind.ONE_SAMPLE)
         assert "NA,NA" in text
         assert len(failures) == 1
 

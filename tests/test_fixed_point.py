@@ -139,12 +139,13 @@ class TestDirectUpdate:
 class TestSolveFixedPoint:
     def test_identity_updater_returns_guess(self):
         updater = lambda f, c, alpha, n: c
-        config = SolverConfig(guess=1.7)
-        result, trace = solve_fixed_point(updater, f_nlm1, distance, config, 0.5, 10)
-        assert result == 1.7
-        assert trace.converged
-        assert trace.final_distance == 0.0
-        assert trace.iterates == (1.7, 1.7)
+        for cap in (200, 1):
+            config = SolverConfig(guess=1.7, max_iterations=cap)
+            result, trace = solve_fixed_point(updater, f_nlm1, distance, config, 0.5, 10)
+            assert result == 1.7
+            assert trace.converged
+            assert trace.final_distance == 0.0
+            assert trace.iterates == (1.7, 1.7)
 
     def test_newton_reaches_reference_value(self):
         result, trace = solve_fixed_point(
@@ -183,13 +184,28 @@ class TestSolveFixedPoint:
 
     def test_divergent_updater_raises_within_cap(self):
         runaway = lambda f, c, alpha, n: c + 1.0
-        config = SolverConfig(guess=1.0, max_iterations=200)
+        for cap in (200, 1):
+            config = SolverConfig(guess=1.0, max_iterations=cap)
+            with pytest.raises(NonConvergenceError) as excinfo:
+                solve_fixed_point(runaway, f_nlm1, distance, config, 0.05, 30)
+            trace = excinfo.value.trace
+            assert isinstance(trace, IterationTrace)
+            assert not trace.converged
+            assert len(trace.iterates) == config.max_iterations + 1
+
+    def test_nan_iterate_never_converges(self):
+        to_nan = lambda f, c, alpha, n: math.nan
+        config = SolverConfig(max_iterations=3)
         with pytest.raises(NonConvergenceError) as excinfo:
-            solve_fixed_point(runaway, f_nlm1, distance, config, 0.05, 30)
-        trace = excinfo.value.trace
-        assert isinstance(trace, IterationTrace)
-        assert not trace.converged
-        assert len(trace.iterates) == config.max_iterations + 1
+            solve_fixed_point(to_nan, f_nlm1, distance, config, 0.05, 30)
+        assert len(excinfo.value.trace.iterates) == 4
+
+    def test_overflow_becomes_domain_error(self):
+        def overflow(f, c, alpha, n):
+            return c**1000
+        with pytest.raises(NumericalDomainError) as excinfo:
+            solve_fixed_point(overflow, f_nlm1, distance, SolverConfig(), 0.05, 30)
+        assert isinstance(excinfo.value.__cause__, OverflowError)
 
     def test_trace_length_bounded(self):
         _, trace = solve_fixed_point(

@@ -184,6 +184,14 @@ class TestPairSolver:
             with pytest.raises(ValueError, match="guess must be finite and positive"):
                 kuiper_pair_solver(guess, 0.05, 30)
 
+    @pytest.mark.parametrize("guess", [1e102, 1e103, 1e200, 1e308])
+    @pytest.mark.parametrize("method", list(IterationMethod))
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_huge_guess_is_a_domain_error(self, kind, method, guess):
+        # The model overflows (c**3 past ~5.6e102) or turns NaN at such a start.
+        with pytest.raises(NumericalDomainError):
+            kuiper_pair_solver(guess, 0.05, 30, kind, method)
+
     def test_domain_error_propagates(self):
         # Guess 2.45 is outside the evaluable region for n = 5.
         with pytest.raises(NumericalDomainError):
@@ -233,8 +241,25 @@ class TestLowerTailQuantile:
 
     @pytest.mark.parametrize("n", [0, math.nan])
     def test_guard_checks_n(self, n):
-        with pytest.raises(ValueError, match="n must be at least 1"):
-            kuiper_ltq(0.00005, n)
+        for alpha in (0.00005, 0.5):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                kuiper_ltq(alpha, n)
+
+    @pytest.mark.parametrize("n", [17, 30, math.inf])
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.0, 1e-300, math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0), 2e-4,
+         0.05, 0.5, 0.95],
+    )
+    def test_is_upper_tail_quantile_at_complement(self, alpha, n):
+        # The upper guard covers every alpha <= 1e-4: 1 - 1e-4 rounds to 0.9999.
+        def outcome(quantile, level):
+            try:
+                return quantile(level, n)
+            except KuiperError as exc:
+                return type(exc)
+
+        assert outcome(kuiper_ltq, alpha) == outcome(kuiper_utq, 1.0 - alpha)
 
 
 class TestInverseCdf:

@@ -20,8 +20,11 @@ of failed operations and, per end-to-end metric, both sides' medians and
 quartiles, the change's wins over the pairs, and a verdict by these rules
 (bounds from ``BENCHMARK.json``).  Per per-layer metric it holds each side's
 median and quartiles over the traced runs, with no verdict: the benchmark
-fixes no bound for them.  A run whose outputs were not correct gives no metric
-values, so its pair is left out.
+fixes no bound for them.  The ``empirical.*`` and ``cli.*`` probes take no
+workload input, so ``per_layer_pooled`` also gives each side's median and
+quartiles for them over every workload's traced runs, again with no verdict.
+A run whose outputs were not correct gives no metric values, so its pair is
+left out.
 
 - ``gain``: the change fails no larger share of operations than the parent,
   wins at least 9 in 10 pairs, ties counting for neither, and the medians
@@ -47,6 +50,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 TRACED_SEEDS = 3
+# Per-layer metrics whose probes ignore the workload (benchmarks/probes.py:
+# empirical_probes and cli_probes), so every workload's traced runs sample them.
+POOLED_LAYERS = ("empirical.", "cli.")
 
 
 def git(*args: str) -> str:
@@ -127,6 +133,31 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
             "parent_iqr": spread, "verdict": call}
 
 
+def layer_quartiles(traced: list[dict], metric: dict) -> dict | None:
+    """Each side's quartiles of one per-layer metric over ``traced`` runs, if both ran."""
+    name = metric["name"]
+    sides = {side: [r["result"]["metrics"][name]["value"] for r in traced
+                    if r["side"] == side and name in r["result"]["metrics"]]
+             for side in ("parent", "change")}
+    if not all(sides.values()):
+        return None
+    return {"unit": metric["unit"], "better": metric["better"],
+            **{side: quartiles(v) for side, v in sides.items()}}
+
+
+def correct_traced(runs: list[dict]) -> list[dict]:
+    return [r for r in runs if r["trace"] == 1 and r["result"] is not None
+            and r["result"]["correct"]]
+
+
+def pool_layers(runs: list[dict], spec: dict) -> dict:
+    """Quartiles of the workload-independent per-layer metrics over all traced runs."""
+    traced = correct_traced(runs)
+    pooled = {m["name"]: layer_quartiles(traced, m) for m in spec["per_layer"]
+              if m["name"].startswith(POOLED_LAYERS)}
+    return {name: row for name, row in pooled.items() if row}
+
+
 def summarise(runs: list[dict], spec: dict) -> dict:
     """Per workload and end-to-end metric, the pairs where both sides ran correctly."""
     summary = {}
@@ -156,17 +187,9 @@ def summarise(runs: list[dict], spec: dict) -> dict:
                           "bound": metric["bound"],
                           **verdict([p for p, _ in values], [c for _, c in values],
                                     metric["better"], metric["bound"], fails_more)}
-        traced = [r for r in runs if r["workload"] == workload and r["trace"] == 1
-                  and r["result"] is not None and r["result"]["correct"]]
-        layers = {}
-        for metric in spec["per_layer"]:
-            name = metric["name"]
-            sides = {side: [r["result"]["metrics"][name]["value"] for r in traced
-                            if r["side"] == side and name in r["result"]["metrics"]]
-                     for side in ("parent", "change")}
-            if all(sides.values()):
-                layers[name] = {"unit": metric["unit"], "better": metric["better"],
-                                **{side: quartiles(v) for side, v in sides.items()}}
+        traced = [r for r in correct_traced(runs) if r["workload"] == workload]
+        layers = {m["name"]: layer_quartiles(traced, m) for m in spec["per_layer"]}
+        layers = {name: row for name, row in layers.items() if row}
         incorrect = sum(not r["result"]["correct"] for r in runs
                         if r["workload"] == workload and r["result"] is not None)
         crashed = sum(r["result"] is None for r in runs if r["workload"] == workload)
@@ -212,6 +235,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "workloads": workloads,
         "summary": summarise(runs, spec),
+        "per_layer_pooled": pool_layers(runs, spec),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
@@ -223,6 +247,9 @@ def main(argv=None) -> int:
         for name, row in rows["per_layer"].items():
             print(f"{workload:11s} {name} parent {row['parent']['median']:.6g} "
                   f"change {row['change']['median']:.6g} {row['unit']}")
+    for name, row in report["per_layer_pooled"].items():
+        print(f"{'pooled':11s} {name} parent {row['parent']['median']:.6g} "
+              f"change {row['change']['median']:.6g} {row['unit']}")
     return 0 if all(r["exit"] == 0 for r in runs) else 1
 
 
