@@ -133,16 +133,18 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
             "parent_iqr": spread, "verdict": call}
 
 
-def layer_quartiles(traced: list[dict], metric: dict) -> dict | None:
-    """Each side's quartiles of one per-layer metric over ``traced`` runs, if both ran."""
-    name = metric["name"]
-    sides = {side: [r["result"]["metrics"][name]["value"] for r in traced
-                    if r["side"] == side and name in r["result"]["metrics"]]
-             for side in ("parent", "change")}
-    if not all(sides.values()):
-        return None
-    return {"unit": metric["unit"], "better": metric["better"],
-            **{side: quartiles(v) for side, v in sides.items()}}
+def layer_quartiles(traced: list[dict], metrics: list[dict]) -> dict:
+    """Each side's quartiles of each per-layer metric that both sides' ``traced`` runs hold."""
+    rows = {}
+    for metric in metrics:
+        name = metric["name"]
+        sides = {side: [r["result"]["metrics"][name]["value"] for r in traced
+                        if r["side"] == side and name in r["result"]["metrics"]]
+                 for side in ("parent", "change")}
+        if all(sides.values()):
+            rows[name] = {"unit": metric["unit"], "better": metric["better"],
+                          **{side: quartiles(v) for side, v in sides.items()}}
+    return rows
 
 
 def correct_traced(runs: list[dict]) -> list[dict]:
@@ -152,10 +154,8 @@ def correct_traced(runs: list[dict]) -> list[dict]:
 
 def pool_layers(runs: list[dict], spec: dict) -> dict:
     """Quartiles of the workload-independent per-layer metrics over all traced runs."""
-    traced = correct_traced(runs)
-    pooled = {m["name"]: layer_quartiles(traced, m) for m in spec["per_layer"]
-              if m["name"].startswith(POOLED_LAYERS)}
-    return {name: row for name, row in pooled.items() if row}
+    return layer_quartiles(correct_traced(runs), [
+        m for m in spec["per_layer"] if m["name"].startswith(POOLED_LAYERS)])
 
 
 def summarise(runs: list[dict], spec: dict) -> dict:
@@ -187,9 +187,8 @@ def summarise(runs: list[dict], spec: dict) -> dict:
                           "bound": metric["bound"],
                           **verdict([p for p, _ in values], [c for _, c in values],
                                     metric["better"], metric["bound"], fails_more)}
-        traced = [r for r in correct_traced(runs) if r["workload"] == workload]
-        layers = {m["name"]: layer_quartiles(traced, m) for m in spec["per_layer"]}
-        layers = {name: row for name, row in layers.items() if row}
+        layers = layer_quartiles([r for r in correct_traced(runs) if r["workload"] == workload],
+                                 spec["per_layer"])
         incorrect = sum(not r["result"]["correct"] for r in runs
                         if r["workload"] == workload and r["result"] is not None)
         crashed = sum(r["result"] is None for r in runs if r["workload"] == workload)
