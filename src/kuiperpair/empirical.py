@@ -3,8 +3,7 @@
 The one-sample kernel is distribution-free: it expects probability-integral
 transformed values u_(i) = F0(x_(i)), already sorted ascending, and measures
 how far their empirical CDF strays above and below the uniform CDF.  The
-two-sample kernel compares two equal-size empirical CDFs at each sample's own
-distinct values, where their difference rises or falls.
+two-sample kernel reads both deviations at the first sample's distinct values.
 
 numpy is imported inside the functions that build arrays, not at module
 level: the solvers are pure stdlib, so ``import kuiperpair`` and the
@@ -131,7 +130,9 @@ def _last_copies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct value of sorted ``x`` and the count of elements <= it."""
     import numpy as np
 
-    last = np.append(x[1:] != x[:-1], True)
+    last = np.empty(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=last[:-1])
+    last[-1] = True
     return x[last], np.flatnonzero(last) + 1
 
 
@@ -141,11 +142,11 @@ def kuiper_statistic_two_sample(
 ) -> EmpiricalResult:
     """Kuiper statistic between two equal-size sorted samples.
 
-    F_a - F_b rises only at values of ``a`` and falls only at values of ``b``,
-    so D+ is the largest count difference #a<=x - #b<=x over the distinct
-    values x of ``a``, and D- the same with the samples swapped.  The counts
-    are exact integers, so D+ and D- are whole counts over n; ties within and
-    across samples fall out of the <= counts.
+    One search of ``b`` at the distinct values x_k of ``a`` gives both sides,
+    with A_k = #a<=x_k and L_k = #b<x_k.  F_a - F_b rises only at values of
+    ``a``, so D+ = max_k (A_k - #b<=x_k), and #b<=x_k > L_k only where ``b``
+    holds x_k.  On [x_{k-1}, x_k) F_a = A_{k-1} while F_b climbs to L_k, so
+    D- = max_k (L_k - A_{k-1}) with A_{-1} = 0.  Both are whole counts over n.
 
     Raises ValueError (a sample not 1-D), EmptyInputError,
     LengthMismatchError (only n = m is supported by the matching quantiles)
@@ -156,22 +157,21 @@ def kuiper_statistic_two_sample(
     a = _sample(sample_a)
     b = _sample(sample_b)
     if a.size != b.size:
-        raise LengthMismatchError(
-            f"sample sizes differ ({a.size} vs {b.size}); only equal sizes "
-            "have a matching quantile"
-        )
+        raise LengthMismatchError(f"sample sizes differ ({a.size} vs {b.size}); "
+                                  "only equal sizes have a matching quantile")
     if not (_ascending(a) and _ascending(b)):
         raise UnsortedInputError("both samples must be sorted ascending, without NaN")
     n = a.size
-    values_a, below_a = _last_copies(a)
-    values_b, below_b = _last_copies(b)
-    # At a sample's largest value its count is n, so neither maximum is negative.
-    d_plus = int((below_a - np.searchsorted(b, values_a, side="right")).max()) / n
-    d_minus = int((below_b - np.searchsorted(a, values_b, side="right")).max()) / n
+    values, below = _last_copies(a)
+    left = np.searchsorted(b, values)  # L_k, the one full search
+    # L_0 >= 0 and A_k = n at a's largest value, so neither maximum is negative.
+    d_minus = int((left[1:] - below[:-1]).max(initial=left[0])) / n
+    tied = b.take(left, mode="clip") == values  # #b<=x_k > L_k only where b holds x_k
+    excess = below - left
+    excess[tied] = below[tied] - np.searchsorted(b, values[tied], side="right")
+    d_plus = int(excess.max()) / n
     v = d_plus + d_minus
-    return EmpiricalResult(
-        d_plus=d_plus, d_minus=d_minus, v=v, k=math.sqrt(n) * v, n=int(n)
-    )
+    return EmpiricalResult(d_plus, d_minus, v, math.sqrt(n) * v, n)
 
 
 def run_test(

@@ -246,6 +246,7 @@ def _merge_cases(n, seed):
     a, b = np.sort(rng.random(n)), np.sort(rng.random(n))
     # Signed zeros compare equal, so -0.0 and 0.0 tie within and across samples.
     specials = np.array([-np.inf, -0.0, 0.0, np.inf])
+    shared = rng.choice(np.arange(10.0), rng.integers(3, 6), replace=False)
     return {
         "untied": (a, b),
         "rounded": (np.round(a, 2), np.round(b, 2)),
@@ -255,13 +256,19 @@ def _merge_cases(n, seed):
         "inf_and_zero_ties": tuple(
             np.sort(np.where(rng.random(n) < 0.5, rng.choice(specials, n), x)) for x in (a, b)
         ),
+        # Nearly every key of a is held by b, so takes the second, <= search.
+        "shared_values": tuple(np.sort(rng.choice(shared, n)) for _ in range(2)),
+        # #b < x is n at a's top key alone.
+        "a_top_above_b": (np.append(np.minimum(a[:-1], b[-1]), b[-1] + 1.0), b),
     }
 
 
 class TestTwoSampleAgainstMerge:
     @pytest.mark.parametrize("n", [1, 2, 10**3, 10**4])
     @pytest.mark.parametrize(
-        "case", ["untied", "rounded", "all_equal", "a_below_b", "b_below_a", "inf_and_zero_ties"]
+        "case",
+        ["untied", "rounded", "all_equal", "a_below_b", "b_below_a", "inf_and_zero_ties",
+         "shared_values", "a_top_above_b"],
     )
     def test_matches_merge_oracle(self, n, case):
         a, b = _merge_cases(n, seed=n)[case]
@@ -272,9 +279,28 @@ class TestTwoSampleAgainstMerge:
         assert result.v == result.d_plus + result.d_minus
         assert result.k == math.sqrt(n) * result.v
 
+    @pytest.mark.parametrize("case", ["untied", "shared_values"])
+    def test_b_is_searched_once_in_full(self, case, monkeypatch):
+        # One search at every distinct value of a; the <= search sees only
+        # the keys that b holds, so none on untied input.
+        a, b = _merge_cases(1000, seed=3)[case]
+        searched = []
+        search = np.searchsorted
+
+        def counting_search(sorted_values, keys, side="left"):
+            searched.append(np.size(keys))
+            return search(sorted_values, keys, side=side)
+
+        monkeypatch.setattr(np, "searchsorted", counting_search)
+        kuiper_statistic_two_sample(a, b)
+        keys = np.unique(a)
+        assert searched == [keys.size, np.isin(keys, b).sum()]
+
     def test_peak_memory_per_input_value(self):
-        # About 24 B per input value (per-sample masks, counts and searches);
-        # a kernel that builds the merged grid of both samples needs 40-46 B.
+        # About 16.5 B per input value: a's distinct values and their <= counts,
+        # the one search's #b < x counts, then b at those counts (8 B each per
+        # value of a) and the tie mask.  Searching each sample's distinct values
+        # in the other needed 24 B; building the merged grid of both, 40-46 B.
         n = 10**5
         rng = np.random.default_rng(13)
         a, b = np.sort(rng.random(n)), np.sort(rng.random(n))
@@ -306,6 +332,17 @@ class TestKernelProperties:
         oracle_plus, oracle_minus = counting_two_sample(a, b)
         assert result.d_plus == pytest.approx(oracle_plus, abs=1e-12)
         assert result.d_minus == pytest.approx(oracle_minus, abs=1e-12)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(TIED, TIED), min_size=1, max_size=60))
+    def test_two_sample_swap_exchanges_d_plus_and_d_minus(self, pairs):
+        # D- is read from a's side as #b < x, D+ as #b <= x; swapping the
+        # samples pins each against the other, exactly.
+        a, b = (sorted(sample) for sample in zip(*pairs))
+        forward = kuiper_statistic_two_sample(a, b)
+        swapped = kuiper_statistic_two_sample(b, a)
+        assert forward.d_minus == swapped.d_plus
+        assert forward.d_plus == swapped.d_minus
 
     @PROPERTY
     @given(st.integers(1, 40), st.none() | st.floats(0.0, 1.0), st.integers(1, 40),
