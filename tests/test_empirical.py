@@ -256,7 +256,7 @@ def _merge_cases(n, seed):
         "inf_and_zero_ties": tuple(
             np.sort(np.where(rng.random(n) < 0.5, rng.choice(specials, n), x)) for x in (a, b)
         ),
-        # Nearly every key of a is held by b, so takes the second, <= search.
+        # b holds nearly every key of a, so nearly every key is searched again.
         "shared_values": tuple(np.sort(rng.choice(shared, n)) for _ in range(2)),
         # #b < x is n at a's top key alone.
         "a_top_above_b": (np.append(np.minimum(a[:-1], b[-1]), b[-1] + 1.0), b),
