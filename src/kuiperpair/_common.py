@@ -19,15 +19,21 @@ import math
 
 from .errors import NumericalDomainError
 
-# Sample sizes at or beyond this threshold (or math.inf) are treated as the
-# exact n -> infinity limit: every O(1/sqrt(n)) and O(1/n) term is dropped
-# rather than evaluated at a huge n, avoiding pointless cancellation.
+# Sample sizes at or beyond this threshold (or math.inf) request the exact
+# n -> infinity limit.  The factors, slopes and series, written for finite n
+# only, are then evaluated at n = inf, where IEEE arithmetic turns every
+# O(1/sqrt(n)) and O(1/n) term into an exact zero: no limit formula of its own.
 INFINITE_N = 1e16
+
+
+def limit_n(n: int | float) -> int | float:
+    """``n``, or ``math.inf`` where it requests the limit; the one place that decides."""
+    return math.inf if math.isinf(n) or n >= INFINITE_N else n
 
 
 def is_infinite_n(n: int | float) -> bool:
     """True when ``n`` requests the exact large-sample limit."""
-    return math.isinf(n) or n >= INFINITE_N
+    return limit_n(n) == math.inf
 
 
 Factors = tuple[float, float, float, float]

@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--alpha", type=_ALPHA, required=True)
     simulate.add_argument("--reps", type=int, required=True)
     simulate.add_argument("--seed", type=int, required=True)
-    simulate.add_argument("--test", choices=("vn",), default="vn")
     simulate.set_defaults(handler=cmd_simulate)
 
     for command in sub.choices.values():

@@ -70,7 +70,7 @@ def newton_update(
     c: float,
     alpha: float,
     n: float,
-    step: float = 1e-5,
+    step: float = SolverConfig.derivative_step,
 ) -> float:
     """One Newton step c - f/f' with a forward-difference slope estimate.
 

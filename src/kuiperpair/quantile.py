@@ -18,8 +18,8 @@ from . import survival_vn, survival_vnn
 from .errors import InadmissibleRootError, UnboundedQuantileError
 from .fixed_point import SolverConfig, direct_update, distance, solve_fixed_point
 
-SOLVER_EPSILON = 1e-5
-DEFAULT_GUESS = 2.45
+SOLVER_EPSILON = SolverConfig.epsilon
+DEFAULT_GUESS = SolverConfig.guess
 
 # Guard of the quantile routines: alpha pinned to the degenerate end of the
 # distribution short-circuits to a zero quantile instead of a solve.
@@ -110,7 +110,7 @@ def kuiper_pair_solver(
     """
     check_alpha(alpha)
     check_n(n)
-    config = SolverConfig(epsilon=SOLVER_EPSILON, guess=guess)
+    config = SolverConfig(guess=guess)
     c_min = MIN_ADMISSIBLE_ROOTS[kind]
     if guess <= c_min:
         warnings.warn(

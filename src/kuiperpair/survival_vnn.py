@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from ._common import (
     Factors,
-    is_infinite_n,
+    limit_n,
     two_term_contraction,
     two_term_newton,
     two_term_residual,
@@ -37,8 +37,7 @@ from ._common import (
 def _factors(c: float, n: float) -> Factors:
     """(x, U1, U2, s) at (c, n), with x = c^2 and s = 1/(6n)."""
     x = c * c
-    if is_infinite_n(n):
-        return x, 2.0 * (2.0 * x - 1.0), 2.0 * (8.0 * x - 1.0), 0.0
+    n = limit_n(n)
     return (
         x,
         2.0 * (2.0 * x - 1.0) - x * (2.0 * x - 7.0) / (6.0 * n),
@@ -49,9 +48,8 @@ def _factors(c: float, n: float) -> Factors:
 
 def _slopes(c: float, n: float) -> tuple[float, float]:
     """(dU1/dc, dU2/dc) at (c, n), with x = c^2."""
-    if is_infinite_n(n):
-        return 8.0 * c, 32.0 * c
     x = c * c
+    n = limit_n(n)
     return (
         2.0 * c * (4.0 - (4.0 * x - 7.0) / (6.0 * n)),
         2.0 * c * (16.0 - 2.0 * (16.0 * x - 7.0) / (3.0 * n)),

@@ -133,3 +133,21 @@ def test_workload_free_layers_are_pooled_over_every_workload():
     # Each workload still reports its own three traced runs.
     per_workload = bench_pairs.summarise(runs, spec)["b"]["per_layer"]
     assert per_workload["empirical.kernel_ns"]["parent"]["values"] == [4.0, 5.0, 6.0]
+
+
+def test_null_per_layer_values_are_dropped_and_an_empty_side_is_absent():
+    def traced_null(side, value):
+        return {"pair": None, "workload": "w", "seed": 0, "side": side, "trace": 1,
+                "exit": 0, "result": {"correct": True, "attempted": 1, "failed": 0,
+                                      "metrics": {"kernel_ns": {"value": value}}}}
+
+    runs = [traced_null("parent", 30.0), traced_null("parent", None),
+            traced_null("parent", 20.0), traced_null("change", None),
+            traced_null("change", None)]
+    row = bench_pairs.summarise(runs, SPEC)["w"]["per_layer"]["kernel_ns"]
+    assert row["parent"]["values"] == [30.0, 20.0]
+    assert row["change"] is None
+    assert bench_pairs.layer_medians(row) == "parent 25 change absent ns"
+    # A metric that every run of both sides reports as null gives no row.
+    runs = [traced_null("parent", None), traced_null("change", None)]
+    assert bench_pairs.summarise(runs, SPEC)["w"]["per_layer"] == {}

@@ -1,5 +1,6 @@
 """Tests for the one-sample tail approximation and its residual/contraction."""
 
+import importlib
 import math
 
 import pytest
@@ -22,6 +23,11 @@ from kuiperpair.survival_vn import (
 )
 
 INF = math.inf
+
+
+def _bits(value):
+    """Hex form of a float or a tuple of floats, so -0.0 differs from 0.0."""
+    return tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex()
 
 
 def _solve_newton(alpha, n, guess=2.45):
@@ -55,8 +61,32 @@ class TestFactors:
         assert a2(c, INF) > 0.0
 
     def test_sentinel_threshold_matches_inf(self):
-        assert a1(1.5, 10**16) == a1(1.5, INF)
-        assert a2(1.5, 10**17) == a2(1.5, INF)
+        # Every model function of both statistics gives, bit for bit, its
+        # value at n = inf from the threshold 1e16 upward, and at n = inf the
+        # finite-n formulas reduce exactly to the limit formulas.
+        # By path: the package re-exports functions named like these modules.
+        one = importlib.import_module("kuiperpair.survival_vn")
+        two = importlib.import_module("kuiperpair.survival_vnn")
+        alpha = 0.05
+        of_c = (one.a1, one.a2, one.survival_vn, one.series_survival_vn, one._slopes,
+                two.u1, two.u2, two.survival_vnn, two._slopes)
+        of_c_alpha = (one.f_nlm1, one.f_ctm1, one.f_ntm1, two.f_nlm2, two.f_ctm2, two.f_ntm2)
+        for c in (1.2, 1.5, 2.0, 3.0):
+            calls = [(fn, (c,)) for fn in of_c] + [(fn, (c, alpha)) for fn in of_c_alpha]
+            for fn, args in calls:
+                limit = _bits(fn(*args, INF))
+                for n in (1e16, 10**16, 1e17, 10**17, 2**60):
+                    assert _bits(fn(*args, n)) == limit, (fn.__name__, c, n)
+            x = c * c
+            assert a1(c, INF) == -2.0 + 8.0 * x
+            assert a2(c, INF) == -2.0 + 32.0 * x
+            assert two.u1(c, INF) == 2.0 * (2.0 * x - 1.0)
+            assert two.u2(c, INF) == 2.0 * (8.0 * x - 1.0)
+            assert one._slopes(c, INF) == (16.0 * c, 64.0 * c)
+            assert two._slopes(c, INF) == (8.0 * c, 32.0 * c)
+            assert two._factors(c, INF)[3] == 0.0
+            assert series_survival_vn(c, INF) == sum(
+                2.0 * (4.0 * j * j * x - 1.0) * math.exp(-2.0 * j * j * x) for j in (1, 2))
 
 
 class TestSurvival:

@@ -20,9 +20,11 @@ of failed operations and, per end-to-end metric, both sides' medians and
 quartiles, the change's wins over the pairs, and a verdict by these rules
 (bounds from ``BENCHMARK.json``).  Per per-layer metric it holds each side's
 median and quartiles over the traced runs, with no verdict: the benchmark
-fixes no bound for them.  The ``empirical.*`` and ``cli.*`` probes take no
-workload input, so ``per_layer_pooled`` also gives each side's median and
-quartiles for them over every workload's traced runs, again with no verdict.
+fixes no bound for them.  A probe reported as null adds no value, and a side
+whose runs all report it null is recorded as ``null`` (absent).  The
+``empirical.*`` and ``cli.*`` probes take no workload input, so
+``per_layer_pooled`` also gives each side's median and quartiles for them
+over every workload's traced runs, again with no verdict.
 A run whose outputs were not correct gives no metric values, so its pair is
 left out.
 
@@ -134,17 +136,28 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
 
 
 def layer_quartiles(traced: list[dict], metrics: list[dict]) -> dict:
-    """Each side's quartiles of each per-layer metric that both sides' ``traced`` runs hold."""
+    """Each side's quartiles of each per-layer metric that a side's ``traced`` runs hold.
+
+    A run that reports the metric as null (an absent probe) adds no value, and a
+    side with no value at all is reported as absent (``None``).
+    """
     rows = {}
     for metric in metrics:
         name = metric["name"]
-        sides = {side: [r["result"]["metrics"][name]["value"] for r in traced
-                        if r["side"] == side and name in r["result"]["metrics"]]
-                 for side in ("parent", "change")}
-        if all(sides.values()):
+        sides = {side: [r["result"]["metrics"].get(name, {}).get("value") for r in traced
+                        if r["side"] == side] for side in ("parent", "change")}
+        sides = {side: [v for v in values if v is not None] for side, values in sides.items()}
+        if any(sides.values()):
             rows[name] = {"unit": metric["unit"], "better": metric["better"],
-                          **{side: quartiles(v) for side, v in sides.items()}}
+                          **{side: quartiles(v) if v else None for side, v in sides.items()}}
     return rows
+
+
+def layer_medians(row: dict) -> str:
+    """Both sides' medians of one per-layer row, an absent side written ``absent``."""
+    shown = {side: "absent" if row[side] is None else f"{row[side]['median']:.6g}"
+             for side in ("parent", "change")}
+    return f"parent {shown['parent']} change {shown['change']} {row['unit']}"
 
 
 def correct_traced(runs: list[dict]) -> list[dict]:
@@ -244,11 +257,9 @@ def main(argv=None) -> int:
                   f"change {row['change']['median']:.6g} {row['unit']}  "
                   f"wins {row['change_wins']}/{row['pairs']}  {row['verdict']}")
         for name, row in rows["per_layer"].items():
-            print(f"{workload:11s} {name} parent {row['parent']['median']:.6g} "
-                  f"change {row['change']['median']:.6g} {row['unit']}")
+            print(f"{workload:11s} {name} {layer_medians(row)}")
     for name, row in report["per_layer_pooled"].items():
-        print(f"{'pooled':11s} {name} parent {row['parent']['median']:.6g} "
-              f"change {row['change']['median']:.6g} {row['unit']}")
+        print(f"{'pooled':11s} {name} {layer_medians(row)}")
     return 0 if all(r["exit"] == 0 for r in runs) else 1
 
 
