@@ -16,6 +16,7 @@ plus a decaying exponential, so no exp(x) is ever formed.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .errors import NumericalDomainError
 
@@ -37,6 +38,27 @@ def is_infinite_n(n: int | float) -> bool:
 
 
 Factors = tuple[float, float, float, float]
+
+
+def finite_factors(
+    factors: Callable[[float, float], Factors], c: float, n: float
+) -> Factors:
+    """``factors(c, n)``, checked for the public survival and factor functions.
+
+    Raises NumericalDomainError where a factor overflows, as past c ~ 5.8e76
+    (V_{n,n}) or 7.1e101 (V_n) at every n, or is NaN.  x = c^2 and s are
+    finite wherever P and Q are, and finite factors keep the survival
+    finite, as both exponentials lie in [0, 1].  The solver maps call the
+    factors directly and catch both cases themselves.
+    """
+    try:
+        values = factors(c, n)
+    except OverflowError as exc:
+        raise NumericalDomainError(f"tail model factors overflow at c={c:.6g}") from exc
+    if not (math.isfinite(values[1]) and math.isfinite(values[2])):
+        raise NumericalDomainError(
+            f"tail model factors {values[1:3]} are not finite at c={c:.6g}, n={n:.6g}")
+    return values
 
 
 def two_term_survival(kappa: float, factors: Factors) -> float:

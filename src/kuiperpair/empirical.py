@@ -46,6 +46,13 @@ _ELEMENT_BUDGET = 10_000_000
 # deciding many samples repeats a few keys, and the bound caps the memory.
 _THRESHOLD_CACHE_SIZE = 256
 
+# From _PRUNE_MIN distinct values of its first sample on, the two-sample
+# kernel bounds D+ and D- over blocks of _BLOCK (at least 2) consecutive
+# ones and searches only the blocks that can reach them; below that, one
+# full search is cheaper.
+_BLOCK = 32
+_PRUNE_MIN = 8192
+
 
 @dataclass(frozen=True)
 class EmpiricalResult:
@@ -136,17 +143,66 @@ def _last_copies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[last], np.flatnonzero(last) + 1
 
 
+def _search(b: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """#b < x and #b <= x at each key x: the second differs only where b holds x."""
+    import numpy as np
+
+    left = np.searchsorted(b, keys)
+    tied = b.take(left, mode="clip") == keys
+    held = keys[tied]
+    # Without a tie the counts agree, and one array serves as both.
+    right = left.copy() if held.size else left
+    right[tied] = np.searchsorted(b, held, side="right")
+    return left, right
+
+
+def _block_bounds(
+    b: np.ndarray, values: np.ndarray, below: np.ndarray
+) -> tuple[int, int, np.ndarray]:
+    """D- and D+ counts at the block ends, and which blocks can exceed them.
+
+    Block j holds the distinct values past its predecessor's last key
+    e_{j-1}, up to its own e_j.  Inside it L_k <= L_{e_j} and A_{k-1} >=
+    A_{e_{j-1}}, so every D- term is at most L_{e_j} - A_{e_{j-1}}, and
+    likewise every D+ term at most A_{e_j} - R_{e_{j-1}}.  Block 0 is always
+    kept: it holds k = 0, whose A_{k-1} = 0 no earlier block end bounds.
+    """
+    import numpy as np
+
+    ends = np.arange(_BLOCK - 1, values.size + _BLOCK - 1, _BLOCK)
+    ends[-1] = values.size - 1  # the last block may be partial
+    left, right = _search(b, values[ends])
+    at = below[ends]
+    floor_minus = int((left - below[ends - 1]).max())  # ends >= 1 as _BLOCK >= 2
+    floor_plus = int((at - right).max())
+    keep = np.empty(ends.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = (left[1:] - at[:-1] > floor_minus) | (at[1:] - right[:-1] > floor_plus)
+    return floor_minus, floor_plus, keep
+
+
 def kuiper_statistic_two_sample(
     sample_a: Sequence[float] | np.ndarray,
     sample_b: Sequence[float] | np.ndarray,
 ) -> EmpiricalResult:
     """Kuiper statistic between two equal-size sorted samples.
 
-    One search of ``b`` at the distinct values x_k of ``a`` gives both sides,
-    with A_k = #a<=x_k and L_k = #b<x_k.  F_a - F_b rises only at values of
-    ``a``, so D+ = max_k (A_k - #b<=x_k), and #b<=x_k > L_k only where ``b``
-    holds x_k.  On [x_{k-1}, x_k) F_a = A_{k-1} while F_b climbs to L_k, so
-    D- = max_k (L_k - A_{k-1}) with A_{-1} = 0.  Both are whole counts over n.
+    A search of ``b`` at the distinct values x_k of ``a`` gives both sides,
+    with A_k = #a<=x_k, L_k = #b<x_k and R_k = #b<=x_k.  F_a - F_b rises only
+    at values of ``a``, so D+ = max_k (A_k - R_k), and R_k > L_k only where
+    ``b`` holds x_k.  On [x_{k-1}, x_k) F_a = A_{k-1} while F_b climbs to
+    L_k, so D- = max_k (L_k - A_{k-1}) with A_{-1} = 0.  Both are whole
+    counts over n.
+
+    From ``_PRUNE_MIN`` distinct values on, ``b`` is first searched only at
+    the last key of each block of ``_BLOCK`` consecutive ones.  The terms
+    there are lower bounds of D- and D+.  A, L and R never fall with k, so
+    the block ends also bound every term inside a block from above (see
+    ``_block_bounds``), and only the blocks whose upper bound beats a lower
+    bound are searched in full.  On untied uniforms that is 3-5 % of the
+    keys at n = 10^5 to 10^6, the block ends included.  Where F_a - F_b
+    stays flat, as for a == b, every block survives and the one full search
+    follows the block-end search.
 
     Raises ValueError (a sample not 1-D), EmptyInputError,
     LengthMismatchError (only n = m is supported by the matching quantiles)
@@ -163,13 +219,19 @@ def kuiper_statistic_two_sample(
         raise UnsortedInputError("both samples must be sorted ascending, without NaN")
     n = a.size
     values, below = _last_copies(a)
-    left = np.searchsorted(b, values)  # L_k, the one full search
+    before = below[:-1]  # A_{k-1} for k >= 1
+    floor_minus = floor_plus = 0
+    if values.size >= _PRUNE_MIN:
+        floor_minus, floor_plus, keep = _block_bounds(b, values, below)
+        if not keep.all():
+            starts = np.flatnonzero(keep) * _BLOCK  # block 0 is kept: keys start at k = 0
+            keys = (starts[:, None] + np.arange(_BLOCK)).ravel()
+            keys = keys[keys < values.size]
+            values, below, before = values[keys], below[keys], below[keys[1:] - 1]
+    left, right = _search(b, values)
     # L_0 >= 0 and A_k = n at a's largest value, so neither maximum is negative.
-    d_minus = int((left[1:] - below[:-1]).max(initial=left[0])) / n
-    tied = b.take(left, mode="clip") == values  # #b<=x_k > L_k only where b holds x_k
-    excess = below - left
-    excess[tied] = below[tied] - np.searchsorted(b, values[tied], side="right")
-    d_plus = int(excess.max()) / n
+    d_minus = max(floor_minus, int((left[1:] - before).max(initial=left[0]))) / n
+    d_plus = max(floor_plus, int((below - right).max())) / n
     v = d_plus + d_minus
     return EmpiricalResult(d_plus, d_minus, v, math.sqrt(n) * v, n)
 

@@ -19,6 +19,7 @@ import math
 
 from ._common import (
     Factors,
+    finite_factors,
     limit_n,
     two_term_contraction,
     two_term_newton,
@@ -50,12 +51,12 @@ def _slopes(c: float, n: float) -> tuple[float, float]:
 
 def a1(c: float, n: float) -> float:
     """First factor: -2 + 8c/sqrt(n) + 8c^2 - 32c^3/(3 sqrt(n))."""
-    return _factors(c, n)[1]
+    return finite_factors(_factors, c, n)[1]
 
 
 def a2(c: float, n: float) -> float:
     """Second factor: -2 + 32c/sqrt(n) + 32c^2 - 512c^3/(3 sqrt(n))."""
-    return _factors(c, n)[2]
+    return finite_factors(_factors, c, n)[2]
 
 
 def survival_vn(c: float, n: float) -> float:
@@ -65,7 +66,7 @@ def survival_vn(c: float, n: float) -> float:
     c not too large for the given n); outside it the expression may leave
     (0, 1) and callers must check.
     """
-    return two_term_survival(2.0, _factors(c, n))
+    return two_term_survival(2.0, finite_factors(_factors, c, n))
 
 
 def series_survival_vn(c: float, n: float, terms: int = 2) -> float:

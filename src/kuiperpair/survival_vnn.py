@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from ._common import (
     Factors,
+    finite_factors,
     limit_n,
     two_term_contraction,
     two_term_newton,
@@ -58,17 +59,17 @@ def _slopes(c: float, n: float) -> tuple[float, float]:
 
 def u1(c: float, n: float) -> float:
     """First factor: 2(2x-1) - x(2x-7)/(6n) with x = c^2."""
-    return _factors(c, n)[1]
+    return finite_factors(_factors, c, n)[1]
 
 
 def u2(c: float, n: float) -> float:
     """Second factor: 2(8x-1) - 2x(8x-7)/(3n) with x = c^2."""
-    return _factors(c, n)[2]
+    return finite_factors(_factors, c, n)[2]
 
 
 def survival_vnn(c: float, n: float) -> float:
     """Two-term approximation of Pr{sqrt(n) * V_{n,n} > c}."""
-    return two_term_survival(1.0, _factors(c, n))
+    return two_term_survival(1.0, finite_factors(_factors, c, n))
 
 
 def f_nlm2(c: float, alpha: float, n: float) -> float:

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kuiperpair import empirical
 from kuiperpair.empirical import (
+    _BLOCK,
+    _PRUNE_MIN,
     _THRESHOLD_CACHE_SIZE,
     EmpiricalResult,
     _deviations,
@@ -260,15 +263,29 @@ def _merge_cases(n, seed):
         "shared_values": tuple(np.sort(rng.choice(shared, n)) for _ in range(2)),
         # #b < x is n at a's top key alone.
         "a_top_above_b": (np.append(np.minimum(a[:-1], b[-1]), b[-1] + 1.0), b),
+        # F_a - F_b stays flat, so every block's bound reaches the best end term.
+        "identical": (a, a.copy()),
+        "interleaved": (2.0 * np.arange(n), 2.0 * np.arange(n) + 1.0),  # a_i < b_i < a_i+1
+        "shifted": (a, b + 0.05),
+        # A quarter of a at its minimum: D+ is attained at k = 0.
+        "first_value_heavy": (np.where(np.arange(n) < n // 4, a[0], a), b),
+        # Three ties leave n - 3 distinct values, so at n = 10^5 the last block is
+        # partial; D- = 5 sits in it, at the first of a's five top values, above b.
+        "top_in_partial_block": (
+            np.concatenate([np.full(min(n, 4), a[0] / 2), a[4:n - 5] / 2,
+                            1.0 + np.arange(min(5, max(n - 4, 0)))]), b),
     }
 
 
 class TestTwoSampleAgainstMerge:
-    @pytest.mark.parametrize("n", [1, 2, 10**3, 10**4])
+    # From 10^4 on, a's distinct values reach _PRUNE_MIN and the block bounds
+    # run; 10^4 is no multiple of _BLOCK, so its last block is partial.
+    @pytest.mark.parametrize("n", [1, 2, 10**3, 10**4, 10**5])
     @pytest.mark.parametrize(
         "case",
         ["untied", "rounded", "all_equal", "a_below_b", "b_below_a", "inf_and_zero_ties",
-         "shared_values", "a_top_above_b"],
+         "shared_values", "a_top_above_b", "identical", "interleaved", "shifted",
+         "first_value_heavy", "top_in_partial_block"],
     )
     def test_matches_merge_oracle(self, n, case):
         a, b = _merge_cases(n, seed=n)[case]
@@ -278,6 +295,17 @@ class TestTwoSampleAgainstMerge:
             assert d == round(d * n) / n  # a whole count over n
         assert result.v == result.d_plus + result.d_minus
         assert result.k == math.sqrt(n) * result.v
+
+    def test_shapes_reach_the_pruned_path(self):
+        n = 10**5
+        cases = _merge_cases(n, seed=n)
+        a, b = cases["first_value_heavy"]
+        result = kuiper_statistic_two_sample(a, b)
+        assert result.d_plus * n == n // 4 - np.count_nonzero(b <= a[0])  # at k = 0
+        a, b = cases["top_in_partial_block"]
+        keys = np.unique(a).size
+        assert keys >= _PRUNE_MIN and keys % _BLOCK
+        assert kuiper_statistic_two_sample(a, b).d_minus * n == 5
 
     @pytest.mark.parametrize("case", ["untied", "shared_values"])
     def test_b_is_searched_once_in_full(self, case, monkeypatch):
@@ -296,11 +324,32 @@ class TestTwoSampleAgainstMerge:
         keys = np.unique(a)
         assert searched == [keys.size, np.isin(keys, b).sum()]
 
+    def test_searches_only_blocks_that_can_hold_the_extremes(self, monkeypatch):
+        # On untied uniforms at n = 10^5 the block ends and the few blocks whose
+        # bounds beat them are 4-9 % of a's distinct values; all of them is 100 %.
+        n = 10**5
+        rng = np.random.default_rng(18)
+        a, b = np.sort(rng.random(n)), np.sort(rng.random(n))
+        searched = []
+        search = np.searchsorted
+
+        def counting_search(sorted_values, keys, side="left"):
+            searched.append(np.size(keys))
+            return search(sorted_values, keys, side=side)
+
+        monkeypatch.setattr(np, "searchsorted", counting_search)
+        result = kuiper_statistic_two_sample(a, b)
+        assert sum(searched) <= 0.25 * np.unique(a).size
+        assert (result.d_plus, result.d_minus) == merge_two_sample(a.tolist(), b.tolist())
+
     def test_peak_memory_per_input_value(self):
-        # About 16.5 B per input value: a's distinct values and their <= counts,
-        # the one search's #b < x counts, then b at those counts (8 B each per
-        # value of a) and the tie mask.  Searching each sample's distinct values
-        # in the other needed 24 B; building the merged grid of both, 40-46 B.
+        # About 12.5 B per input value on the pruned path this size takes: a's
+        # distinct values and their <= counts (8 B each per value of a), then
+        # the block-end and surviving-block searches, a few % of a.  The one
+        # full search, below _PRUNE_MIN distinct values, holds about 16.5 B:
+        # #b < x counts, b at those counts and the tie mask on top.  Searching
+        # each sample's distinct values in the other needed 24 B; building the
+        # merged grid of both, 40-46 B.
         n = 10**5
         rng = np.random.default_rng(13)
         a, b = np.sort(rng.random(n)), np.sort(rng.random(n))
@@ -343,6 +392,22 @@ class TestKernelProperties:
         swapped = kuiper_statistic_two_sample(b, a)
         assert forward.d_minus == swapped.d_plus
         assert forward.d_plus == swapped.d_minus
+
+    @PROPERTY
+    @pytest.mark.parametrize("block", [2, 3])
+    @given(st.integers(1, 64).flatmap(lambda top: st.lists(
+        st.tuples(st.integers(0, top), st.integers(0, top)), min_size=1, max_size=60)))
+    def test_two_sample_block_bounds_on_small_tied_lists(self, block, pairs):
+        # Blocks of 2 or 3 from 2 distinct values on, so these lists run the
+        # bounds and the pruned search; the ints make ties likely.
+        a, b = (np.sort(np.array(sample, dtype=float)) for sample in zip(*pairs))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(empirical, "_BLOCK", block)
+            patch.setattr(empirical, "_PRUNE_MIN", 2)
+            forward = kuiper_statistic_two_sample(a, b)
+            swapped = kuiper_statistic_two_sample(b, a)
+        assert (forward.d_plus, forward.d_minus) == merge_two_sample(a.tolist(), b.tolist())
+        assert (swapped.d_plus, swapped.d_minus) == (forward.d_minus, forward.d_plus)
 
     @PROPERTY
     @given(st.integers(1, 40), st.none() | st.floats(0.0, 1.0), st.integers(1, 40),

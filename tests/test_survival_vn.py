@@ -106,6 +106,16 @@ class TestSurvival:
         # Small c pushes the approximation above 1.
         assert survival_vn(0.6, 30) > 1.0
 
+    @pytest.mark.parametrize("n", [1, 30, 10**6, INF])
+    def test_overflowing_factors_raise_typed_error(self, n):
+        # Past c ~ 7.1e101 512c^3 overflows and the sum turns NaN; past
+        # c ~ 5.6e102 c**3 itself overflows.  Both are refused, not returned.
+        for c in (8e101, 6e102, math.nan, INF):
+            for fn in (survival_vn, a1, a2):
+                with pytest.raises(NumericalDomainError):
+                    fn(c, n)
+        assert math.isfinite(survival_vn(7e101, n))  # the last c it still evaluates
+
 
 class TestSeriesForm:
     def test_two_terms_equal_closed_form(self):

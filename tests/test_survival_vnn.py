@@ -91,6 +91,16 @@ class TestSurvival:
             series_survival_vnn(c, n, terms=2), rel=1e-12
         )
 
+    @pytest.mark.parametrize("n", [1, 30, 10**6, INF])
+    def test_overflowing_factors_raise_typed_error(self, n):
+        # Past c ~ 5.8e76 x(2x - 7) and 2x(8x - 7) overflow: U2 would read
+        # -inf and the survival NaN.  Both are refused, not returned.
+        for c in (7e76, 1e200, math.nan, INF):
+            for fn in (survival_vnn, u1, u2):
+                with pytest.raises(NumericalDomainError):
+                    fn(c, n)
+        assert math.isfinite(survival_vnn(5e76, n))  # the last c it still evaluates
+
 
 class TestResidualAndContraction:
     @pytest.mark.parametrize(
