@@ -8,7 +8,6 @@ two-sample (V_{n,n}) variants are supported, along with the empirical
 statistic, accept/reject decisions, and a Monte Carlo validation oracle.
 """
 
-from ._common import INFINITE_N, is_infinite_n
 from .empirical import (
     EmpiricalResult,
     TestDecision,
@@ -47,8 +46,6 @@ from .survival_vnn import survival_vnn
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITE_N",
-    "is_infinite_n",
     "EmpiricalResult",
     "TestDecision",
     "approximate_p_value",

@@ -1,4 +1,4 @@
-"""Shared two-term tail model and the infinite-sample-size sentinel.
+"""Shared two-term tail model of both statistics.
 
 Both statistics truncate their tail series to the same shape.  Writing
 x = c^2 on the sqrt(n)*V scale,
@@ -10,7 +10,9 @@ the two-sample V_{n,n}.  Each statistic module supplies (x, P, Q, s) at a
 given (c, n), and the slopes (P', Q') of its factors; the survival, the
 residual, the direct contraction and the Newton map below are written once
 for both.  Moving ``s`` to the alpha side keeps the log argument a polynomial
-plus a decaying exponential, so no exp(x) is ever formed.
+plus a decaying exponential, so no exp(x) is ever formed.  At n = math.inf
+every 1/sqrt(n) and 1/n term of the factors is an exact zero, so they give
+the large-sample limit bit for bit, with no limit branch of their own.
 """
 
 from __future__ import annotations
@@ -19,23 +21,6 @@ import math
 from typing import Callable
 
 from .errors import NumericalDomainError
-
-# Sample sizes at or beyond this threshold (or math.inf) request the exact
-# n -> infinity limit.  The factors, slopes and series, written for finite n
-# only, are then evaluated at n = inf, where IEEE arithmetic turns every
-# O(1/sqrt(n)) and O(1/n) term into an exact zero: no limit formula of its own.
-INFINITE_N = 1e16
-
-
-def limit_n(n: int | float) -> int | float:
-    """``n``, or ``math.inf`` where it requests the limit; the one place that decides."""
-    return math.inf if math.isinf(n) or n >= INFINITE_N else n
-
-
-def is_infinite_n(n: int | float) -> bool:
-    """True when ``n`` requests the exact large-sample limit."""
-    return limit_n(n) == math.inf
-
 
 Factors = tuple[float, float, float, float]
 

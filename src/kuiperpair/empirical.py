@@ -288,13 +288,14 @@ def monte_carlo_exceedance(
     Draws ``replications`` samples of ``n`` uniforms from a generator seeded
     with ``seed`` and is fully deterministic for fixed arguments.  Serves as
     the independent check that Pr{V_n > v(alpha, n)} is indeed close to alpha.
-    Raises ValueError unless n and replications are positive integers and the
-    threshold is a number.
+    Raises ValueError unless n and replications are positive integers (not
+    bools) and the threshold is a number.
     """
     import numpy as np
 
     for name, count in (("n", n), ("replications", replications)):
-        if not (isinstance(count, numbers.Integral) and count >= 1):
+        if isinstance(count, bool) or not (isinstance(count, numbers.Integral)
+                                           and count >= 1):
             raise ValueError(f"{name} must be a positive integer, got {count!r}")
     if math.isnan(v_threshold):
         raise ValueError("v_threshold must be a number, got nan")

@@ -98,15 +98,15 @@ def kuiper_pair_solver(
 ) -> KuiperPair:
     """Solve the Kuiper pair (c, v = c/sqrt(n)) for the given test and method.
 
-    ``n`` may be ``math.inf`` (or any value >= 1e16) to request the exact
-    large-sample limit.  Raises ValueError, before any GuessWindowWarning, for
-    alpha outside (0, 1), n < 1 or NaN, or a guess that is not finite and
-    positive.  Warns with GuessWindowWarning, whatever the method, when the
-    guess is at or below the smallest admissible root (1/2 for the one-sample
-    test, 1 for the two-sample test), then attempts the solve.  Raises
-    NonConvergenceError, NumericalDomainError (also where a Newton step lands
-    on the model's peak, at zero slope) or InadmissibleRootError (a root at or
-    below that same bound, or at or above sqrt(n)).
+    ``n`` may be ``math.inf`` to request the exact large-sample limit.
+    Raises ValueError, before any GuessWindowWarning, for alpha outside
+    (0, 1), n < 1 or NaN, or a guess that is not finite and positive.  Warns
+    with GuessWindowWarning, whatever the method, when the guess is at or
+    below the smallest admissible root (1/2 for the one-sample test, 1 for the
+    two-sample test), then attempts the solve.  Raises NonConvergenceError,
+    NumericalDomainError (also where a Newton step lands on the model's peak,
+    at zero slope) or InadmissibleRootError (a root at or below that same
+    bound, or at or above sqrt(n)).
     """
     check_alpha(alpha)
     check_n(n)

@@ -20,7 +20,6 @@ import math
 from ._common import (
     Factors,
     finite_factors,
-    limit_n,
     two_term_contraction,
     two_term_newton,
     two_term_residual,
@@ -31,7 +30,7 @@ from ._common import (
 def _factors(c: float, n: float) -> Factors:
     """(x, A1, A2, s) at (c, n), with x = c^2 and s = 0."""
     x = c * c
-    root_n = math.sqrt(limit_n(n))
+    root_n = math.sqrt(n)
     return (
         x,
         -2.0 + 8.0 * c / root_n + 8.0 * x - 32.0 * c**3 / (3.0 * root_n),
@@ -42,7 +41,7 @@ def _factors(c: float, n: float) -> Factors:
 
 def _slopes(c: float, n: float) -> tuple[float, float]:
     """(dA1/dc, dA2/dc) at (c, n)."""
-    root_n = math.sqrt(limit_n(n))
+    root_n = math.sqrt(n)
     return (
         8.0 / root_n + 16.0 * c - 32.0 * c * c / root_n,
         32.0 / root_n + 64.0 * c - 512.0 * c * c / root_n,
@@ -86,7 +85,7 @@ def series_survival_vn(c: float, n: float, terms: int = 2) -> float:
         weight = math.exp(-2.0 * jc2)
         lead += 2.0 * (4.0 * jc2 - 1.0) * weight
         correction += j * j * (4.0 * jc2 - 3.0) * weight
-    return lead - 8.0 * c / (3.0 * math.sqrt(limit_n(n))) * correction
+    return lead - 8.0 * c / (3.0 * math.sqrt(n)) * correction
 
 
 def f_nlm1(c: float, alpha: float, n: float) -> float:

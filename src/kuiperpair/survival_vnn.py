@@ -27,7 +27,6 @@ from __future__ import annotations
 from ._common import (
     Factors,
     finite_factors,
-    limit_n,
     two_term_contraction,
     two_term_newton,
     two_term_residual,
@@ -38,7 +37,6 @@ from ._common import (
 def _factors(c: float, n: float) -> Factors:
     """(x, U1, U2, s) at (c, n), with x = c^2 and s = 1/(6n)."""
     x = c * c
-    n = limit_n(n)
     return (
         x,
         2.0 * (2.0 * x - 1.0) - x * (2.0 * x - 7.0) / (6.0 * n),
@@ -50,7 +48,6 @@ def _factors(c: float, n: float) -> Factors:
 def _slopes(c: float, n: float) -> tuple[float, float]:
     """(dU1/dc, dU2/dc) at (c, n), with x = c^2."""
     x = c * c
-    n = limit_n(n)
     return (
         2.0 * c * (4.0 - (4.0 * x - 7.0) / (6.0 * n)),
         2.0 * c * (16.0 - 2.0 * (16.0 * x - 7.0) / (3.0 * n)),

@@ -557,7 +557,9 @@ class TestMonteCarlo:
             (2.5, 0.5, 10, "n must be a positive integer"),
             (math.inf, 0.5, 10, "n must be a positive integer"),
             (math.nan, 0.5, 10, "n must be a positive integer"),
+            (True, 0.3, 10, "n must be a positive integer"),
             (10, 0.5, 2.5, "replications must be a positive integer"),
+            (10, 0.3, True, "replications must be a positive integer"),
             (10, math.nan, 10, "v_threshold must be a number"),
         ],
     )

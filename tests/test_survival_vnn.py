@@ -53,8 +53,14 @@ class TestFactors:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
     def test_limits_exact(self, c):
         x = c * c
-        assert u1(c, 10**16) == 2.0 * (2.0 * x - 1.0)
-        assert u2(c, 10**16) == 2.0 * (8.0 * x - 1.0)
+        assert u1(c, INF) == 2.0 * (2.0 * x - 1.0)
+        assert u2(c, INF) == 2.0 * (8.0 * x - 1.0)
+
+    @pytest.mark.parametrize("c", [2.0, 3.0])
+    def test_large_finite_n_keeps_its_correction(self, c):
+        # u2's 1/n term still moves it off the limit at n = 1e16; u1's, four
+        # times smaller, rounds away there.
+        assert u2(c, 1e16) != u2(c, INF)
 
     def test_limit_path_skips_exponential(self):
         # No exp(c^2) is evaluated in the exact limit, so large c is fine.

@@ -16,11 +16,12 @@ per-layer metrics: one run cannot tell a layer's change from noise.
 
 Each side runs its own ``benchmarks/`` code, as a benchmark of the two commits
 would.  The output holds every JSON line and, per workload, each side's share
-of failed operations and, per end-to-end metric, both sides' medians and
-quartiles, the change's wins over the pairs, and a verdict by these rules
-(bounds from ``BENCHMARK.json``).  Per per-layer metric it holds each side's
-median and quartiles over the traced runs, with no verdict: the benchmark
-fixes no bound for them.  A probe reported as null adds no value, and a side
+of failed operations, each side's median wall seconds per ``--trace 0`` run
+(what one check of the workload costs) and, per end-to-end metric, both
+sides' medians and quartiles, the change's wins over the pairs, and a verdict
+by these rules (bounds from ``BENCHMARK.json``).  Per per-layer metric it
+holds each side's median and quartiles over the traced runs, with no verdict:
+the benchmark fixes no bound for them.  A probe reported as null adds no value, and a side
 whose runs all report it null is recorded as ``null`` (absent).  The
 ``empirical.*`` and ``cli.*`` probes take no workload input, so
 ``per_layer_pooled`` also gives each side's median and quartiles for them
@@ -188,6 +189,9 @@ def summarise(runs: list[dict], spec: dict) -> dict:
             failed = sum(r["result"]["failed"] for r in timed if r["side"] == side)
             failed_share[side] = failed / attempted if attempted else None
         fails_more = (failed_share["change"] or 0.0) > (failed_share["parent"] or 0.0)
+        walls = {side: [r["wall_s"] for r in runs if r["workload"] == workload
+                        and r["trace"] == 0 and r["side"] == side]
+                 for side in ("parent", "change")}
         rows = {}
         for metric in spec["end_to_end"]:
             name = metric["name"]
@@ -207,6 +211,8 @@ def summarise(runs: list[dict], spec: dict) -> dict:
         crashed = sum(r["result"] is None for r in runs if r["workload"] == workload)
         summary[workload] = {"pairs": len(complete), "failed_share": failed_share,
                              "incorrect_runs": incorrect, "failed_runs": crashed,
+                             "wall_s": {side: statistics.median(v) if v else None
+                                        for side, v in walls.items()},
                              "metrics": rows, "per_layer": layers}
     return summary
 
@@ -252,6 +258,10 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, rows in report["summary"].items():
+        walls = {side: "absent" if v is None else f"{v:.1f}"
+                 for side, v in rows["wall_s"].items()}
+        print(f"{workload:11s} wall_s        parent {walls['parent']} change "
+              f"{walls['change']} s (median per --trace 0 run)")
         for name, row in rows["metrics"].items():
             print(f"{workload:11s} {name:13s} parent {row['parent']['median']:.6g} "
                   f"change {row['change']['median']:.6g} {row['unit']}  "
