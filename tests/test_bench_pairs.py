@@ -13,12 +13,11 @@ SPEC = {"end_to_end": [{"name": "op_p50_us", "unit": "us", "better": "lower",
         "per_layer": [{"name": "kernel_ns", "unit": "ns", "better": "lower"}]}
 
 
-def run(pair, side, op_p50_us, *, correct=True, attempted=100, failed=0, wall_s=30.0):
+def run(pair, side, op_p50_us, *, correct=True, attempted=100, failed=0):
     return {"pair": pair, "workload": "w", "seed": pair, "side": side, "trace": 0,
-            "exit": 0, "wall_s": wall_s,
-            "result": {"correct": correct, "attempted": attempted,
-                                  "failed": failed,
-                                  "metrics": {"op_p50_us": {"value": op_p50_us}}}}
+            "exit": 0, "wall_s": 30.0,
+            "result": {"correct": correct, "attempted": attempted, "failed": failed,
+                       "metrics": {"op_p50_us": {"value": op_p50_us}}}}
 
 
 def pairs(parent, change, **change_kwargs):
@@ -69,15 +68,13 @@ def test_incorrect_runs_give_no_metric_values():
 
 
 def test_summary_gives_each_sides_median_wall_seconds_over_timed_runs():
-    runs = pairs(PARENT, FASTER)
-    for seconds, r in zip([100.0, 60.0, 104.0, 61.0, 98.0, 63.0] + [1.0] * 14, runs):
+    runs = pairs(PARENT[:3], FASTER[:3])  # parent, change, parent, ...
+    for r, seconds in zip(runs, [100.0, 60.0, 104.0, 61.0, 98.0, 63.0]):
         r["wall_s"] = seconds
     runs[0]["result"] = None  # a crashed run still took its wall time
     slow = traced("change", 10.0)
     slow["wall_s"] = 999.0  # traced runs are left out
     summary = bench_pairs.summarise(runs + [slow], SPEC)["w"]
-    assert summary["wall_s"] == {"parent": 1.0, "change": 1.0}
-    summary = bench_pairs.summarise(runs[:6] + [slow], SPEC)["w"]
     assert summary["wall_s"] == {"parent": 100.0, "change": 61.0}
     assert bench_pairs.summarise([slow], SPEC)["w"]["wall_s"] == {
         "parent": None, "change": None}
