@@ -253,7 +253,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    threshold = kuiper_utq(args.alpha, args.n)
+    threshold = kuiper_pair_solver(DEFAULT_GUESS, args.alpha, args.n).quantile
     fraction = monte_carlo_exceedance(args.n, threshold, args.reps, args.seed)
     print(
         f"target={args.alpha:g} empirical={format_number(fraction, args.decimals)} "

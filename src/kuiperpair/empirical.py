@@ -27,19 +27,12 @@ from .errors import (
     OutOfRangeError,
     UnsortedInputError,
 )
-from .quantile import (
-    DEFAULT_GUESS,
-    IterationMethod,
-    TestKind,
-    check_alpha,
-    kuiper_pair_solver,
-    kuiper_utq,
-)
+from .quantile import DEFAULT_GUESS, TestKind, kuiper_pair_solver
 from .survival_vn import survival_vn
 
-# Replication chunks are capped at this many uniforms so the simulator's
-# memory stays bounded; the chunk layout is a pure function of (n, reps),
-# keeping results reproducible for a fixed seed.
+# A chunk holds max(1, budget // n) samples of n uniforms, so the simulator
+# peaks at about 16 bytes x max(budget, n) (160-170 MB at n = 10^2 to 10^5);
+# the layout is a pure function of (n, reps), so a fixed seed reproduces it.
 _ELEMENT_BUDGET = 10_000_000
 
 # Distinct (alpha, n, kind) thresholds kept by run_test's memo; a caller
@@ -242,11 +235,11 @@ def run_test(
     """Decide accept/reject: reject exactly when v exceeds the alpha-quantile.
 
     Equality keeps the null (the quantile is defined through a strict
-    exceedance probability).  Both kinds take alpha in (0, 1) and raise
-    ValueError otherwise; solver errors propagate.  The quantile is memoised
-    per (alpha, n, kind), for at most 256 distinct keys.
+    exceedance probability).  Both kinds compare against the quantile of one
+    ``kuiper_pair_solver`` solve, never the quantile functions' 0.9999 guard:
+    alpha outside (0, 1) raises ValueError, and solver errors propagate.  The
+    quantile is memoised per (alpha, n, kind), for at most 256 distinct keys.
     """
-    check_alpha(alpha)
     threshold = _threshold(alpha, result.n, kind)
     return TestDecision(
         statistic=result,
@@ -260,22 +253,21 @@ def run_test(
 def _threshold(alpha: float, n: int | float, kind: TestKind) -> float:
     """The alpha-quantile ``run_test`` compares against, memoised per key.
 
-    A refused solve raises and is not cached; no warning is lost, since
-    DEFAULT_GUESS lies above every admissible minimum.  n = 30 and n = 30.0
-    share an entry, and their arithmetic gives the same float.
+    A refused solve, a bad alpha included, raises and is not cached; no
+    warning is lost, since DEFAULT_GUESS lies above every admissible minimum.
+    n = 30 and n = 30.0 share an entry, and their arithmetic gives the same
+    float.
     """
-    if kind is TestKind.ONE_SAMPLE:
-        return kuiper_utq(alpha, n)
-    return kuiper_pair_solver(
-        DEFAULT_GUESS, alpha, n, kind, IterationMethod.NEWTON
-    ).quantile
+    return kuiper_pair_solver(DEFAULT_GUESS, alpha, n, kind).quantile
 
 
 def approximate_p_value(result: EmpiricalResult) -> float:
     """One-sample tail probability of the observed statistic, clamped to [0, 1].
 
-    Evaluates the two-term tail approximation at k = sqrt(n) * v; outside its
-    validity region the raw expression can leave [0, 1], hence the clamp.
+    Evaluates the two-term tail approximation at k = sqrt(n) * v.  Off its
+    admissible region the model leaves [0, 1], so a returned 0 or 1 can mean
+    just that (at k = 0.0316, n = 1000 it is -3.90);
+    ``survival_vn(result.k, result.n)`` gives the raw value.
     """
     return min(1.0, max(0.0, survival_vn(result.k, result.n)))
 
@@ -286,7 +278,8 @@ def monte_carlo_exceedance(
     """Fraction of simulated uniform samples whose statistic v exceeds a threshold.
 
     Draws ``replications`` samples of ``n`` uniforms from a generator seeded
-    with ``seed`` and is fully deterministic for fixed arguments.  Serves as
+    with ``seed`` and is fully deterministic for fixed arguments, in chunks
+    that peak at about 16 bytes x max(10^7, n) of memory.  Serves as
     the independent check that Pr{V_n > v(alpha, n)} is indeed close to alpha.
     Raises ValueError unless n and replications are positive integers (not
     bools) and the threshold is a number.

@@ -21,8 +21,8 @@ from .fixed_point import SolverConfig, direct_update, distance, solve_fixed_poin
 SOLVER_EPSILON = SolverConfig.epsilon
 DEFAULT_GUESS = SolverConfig.guess
 
-# Guard of the quantile routines: alpha pinned to the degenerate end of the
-# distribution short-circuits to a zero quantile instead of a solve.
+# Fixed guard of kuiper_utq, kuiper_ltq and kuiper_inv_cdf (criterion 10):
+# 0.0 instead of a solve from this level on.  Decisions never read it.
 UPPER_TAIL_GUARD = 0.9999
 
 
@@ -140,8 +140,11 @@ def kuiper_pair_solver(
 def kuiper_utq(alpha: float, n: int | float) -> float:
     """Upper tail quantile v(alpha, n) with Pr{V_n > v} = alpha.
 
-    ``alpha`` lies in (0, 1].  Returns 0.0 outright for alpha >= 0.9999,
-    where the quantile is pinned to the bottom of the distribution's support.
+    ``alpha`` lies in (0, 1].  Returns 0.0 outright for alpha >= 0.9999, a
+    fixed guard of the quantile functions (acceptance criterion 10), not a
+    quantile: V_n >= 1/n, and the model has a root at alpha = 0.9999 for
+    n = 9-38.  Decisions and the simulator never read the guard; they take
+    ``kuiper_pair_solver``'s quantile, which raises where there is no root.
     """
     check_n(n)
     if not 0.0 < alpha <= 1.0:

@@ -470,6 +470,14 @@ class TestTestCommand:
         assert err.startswith("error: --params must be finite numbers")
         assert "OutOfRange" not in err
 
+    def test_guard_alpha_exits_one_with_the_solver_error(self, tmp_path, capsys):
+        # Not utq's guard value 0.0, which would reject every sample.
+        path = self._write(tmp_path, "guard.txt", [(i + 0.5) / 100 for i in range(100)])
+        code, out, err = run_cli(capsys, "test", "--data", path, "--alpha", "0.99995",
+                                 "--pit")
+        assert code == 1 and out == ""
+        assert err.startswith("NumericalDomainError: ") and err.count("\n") == 1
+
     def test_report_fields_present(self, tmp_path, capsys):
         values = [(i + 1) / 11 for i in range(10)]
         path = self._write(tmp_path, "fields.txt", values)
@@ -512,6 +520,14 @@ class TestSimulateCommand:
             "--reps", "0", "--seed", "1",
         )
         assert code == 2
+
+    def test_guard_alpha_exits_one_with_the_solver_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "100", "--alpha", "0.99995",
+            "--reps", "10", "--seed", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("NumericalDomainError: ") and err.count("\n") == 1
 
     def test_infinite_n_rejected(self, capsys):
         code, _, _ = run_cli(

@@ -25,6 +25,7 @@ from kuiperpair.empirical import (
 from kuiperpair.errors import (
     EmptyInputError,
     InadmissibleRootError,
+    KuiperError,
     LengthMismatchError,
     NumericalDomainError,
     OutOfRangeError,
@@ -32,7 +33,6 @@ from kuiperpair.errors import (
 )
 from kuiperpair.quantile import (
     DEFAULT_GUESS,
-    IterationMethod,
     TestKind,
     kuiper_pair_solver,
     kuiper_utq,
@@ -451,8 +451,6 @@ class TestRunTest:
     @pytest.mark.parametrize("kind", list(TestKind))
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 0.0, math.nan])
     def test_one_alpha_rule_for_both_kinds(self, kind, alpha):
-        # kuiper_utq accepts alpha = 1 (returning 0.0), so the one-sample kind
-        # must check alpha itself or it rejects every v > 0.
         result = EmpiricalResult(0.01, 0.01, 0.02, 0.11, 30)
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             run_test(result, alpha, kind)
@@ -469,15 +467,27 @@ class TestRunTest:
             warnings.simplefilter("error")
             for alpha in (0.10, 0.05, 0.01):
                 for n in self.DECISION_NS:
-                    if kind is TestKind.ONE_SAMPLE:
-                        direct = kuiper_utq(alpha, n)
-                    else:
-                        direct = kuiper_pair_solver(
-                            DEFAULT_GUESS, alpha, n, kind, IterationMethod.NEWTON
-                        ).quantile
+                    direct = kuiper_pair_solver(DEFAULT_GUESS, alpha, n, kind).quantile
                     result = EmpiricalResult(0.0, 0.0, 0.0, 0.0, n)
                     for _ in range(2):
                         assert run_test(result, alpha, kind).quantile == direct
+
+    @pytest.mark.parametrize("kind", list(TestKind))
+    @pytest.mark.parametrize("alpha", [0.9999, 0.99995])
+    @pytest.mark.parametrize("n", [5, 30, 100])
+    def test_guard_alphas_decide_with_the_solved_quantile(self, kind, alpha, n):
+        # kuiper_utq's 0.9999 guard returns 0.0, below V_n's minimum 1/n;
+        # a decision must use the solve, or raise as it does.
+        _threshold.cache_clear()
+        result = EmpiricalResult(0.01, 0.01, 0.02, 0.02 * math.sqrt(n), n)
+        try:
+            expected = kuiper_pair_solver(DEFAULT_GUESS, alpha, n, kind).quantile
+        except KuiperError as exc:
+            with pytest.raises(type(exc)):
+                run_test(result, alpha, kind)
+        else:
+            assert expected > 0.0
+            assert run_test(result, alpha, kind).quantile == expected
 
     @pytest.mark.parametrize(
         "kind,alpha,n,error",
