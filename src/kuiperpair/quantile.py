@@ -20,6 +20,7 @@ from .fixed_point import SolverConfig, direct_update, distance, solve_fixed_poin
 
 SOLVER_EPSILON = SolverConfig.epsilon
 DEFAULT_GUESS = SolverConfig.guess
+_DEFAULT_CONFIG = SolverConfig()  # every solve from DEFAULT_GUESS shares it
 
 # Fixed guard of kuiper_utq, kuiper_ltq and kuiper_inv_cdf (criterion 10):
 # 0.0 instead of a solve from this level on.  Decisions never read it.
@@ -30,6 +31,7 @@ class TestKind(Enum):
     """Which Kuiper statistic a quantity refers to."""
 
     __test__ = False  # not a pytest class despite the name
+    __hash__ = object.__hash__  # singleton members: C-level dict lookups
 
     ONE_SAMPLE = "vn"
     TWO_SAMPLE_EQUAL = "vnn"
@@ -37,6 +39,8 @@ class TestKind(Enum):
 
 class IterationMethod(Enum):
     """Fixed-point update rule used by the solver."""
+
+    __hash__ = object.__hash__  # singleton members: C-level dict lookups
 
     DIRECT = "direct"
     NEWTON = "newton"
@@ -110,7 +114,7 @@ def kuiper_pair_solver(
     """
     check_alpha(alpha)
     check_n(n)
-    config = SolverConfig(guess=guess)
+    config = _DEFAULT_CONFIG if guess == DEFAULT_GUESS else SolverConfig(guess=guess)
     c_min = MIN_ADMISSIBLE_ROOTS[kind]
     if guess <= c_min:
         warnings.warn(
@@ -151,10 +155,7 @@ def kuiper_utq(alpha: float, n: int | float) -> float:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if alpha >= UPPER_TAIL_GUARD:
         return 0.0
-    pair = kuiper_pair_solver(
-        DEFAULT_GUESS, alpha, n, TestKind.ONE_SAMPLE, IterationMethod.NEWTON
-    )
-    return pair.quantile
+    return kuiper_pair_solver(DEFAULT_GUESS, alpha, n).quantile
 
 
 def kuiper_ltq(alpha: float, n: int | float) -> float:

@@ -30,11 +30,12 @@ from ._common import (
 def _factors(c: float, n: float) -> Factors:
     """(x, A1, A2, s) at (c, n), with x = c^2 and s = 0."""
     x = c * c
+    cube = c**3
     root_n = math.sqrt(n)
     return (
         x,
-        -2.0 + 8.0 * c / root_n + 8.0 * x - 32.0 * c**3 / (3.0 * root_n),
-        -2.0 + 32.0 * c / root_n + 32.0 * x - 512.0 * c**3 / (3.0 * root_n),
+        -2.0 + 8.0 * c / root_n + 8.0 * x - 32.0 * cube / (3.0 * root_n),
+        -2.0 + 32.0 * c / root_n + 32.0 * x - 512.0 * cube / (3.0 * root_n),
         0.0,
     )
 
