@@ -1,6 +1,8 @@
 """Tests for the pair solver, tail quantiles and inverse CDF."""
 
+import copy
 import math
+import pickle
 import random
 import warnings
 
@@ -12,7 +14,17 @@ from kuiperpair.errors import (
     NumericalDomainError,
     UnboundedQuantileError,
 )
+from kuiperpair.empirical import _threshold
+from kuiperpair.fixed_point import (
+    SolverConfig,
+    direct_update,
+    distance,
+    solve_fixed_point,
+)
 from kuiperpair.quantile import (
+    _DEFAULT_CONFIG,
+    _MAPS,
+    DEFAULT_GUESS,
     MIN_ADMISSIBLE_ROOTS,
     GuessWindowWarning,
     IterationMethod,
@@ -196,6 +208,61 @@ class TestPairSolver:
         # Guess 2.45 is outside the evaluable region for n = 5.
         with pytest.raises(NumericalDomainError):
             kuiper_pair_solver(2.45, 0.05, 5)
+
+
+def _outcome(solve):
+    """The solved critical value's hex form, or a typed refusal's (type, message)."""
+    try:
+        return solve()
+    except KuiperError as exc:
+        return type(exc), str(exc)
+
+
+class TestSolverSetUp:
+    """The shared default config and identity-hashed enums change no outcome."""
+
+    @pytest.mark.parametrize("guess", [DEFAULT_GUESS, 1.8, 3.0])
+    def test_solve_matches_an_explicit_config(self, guess):
+        rng = random.Random(26)
+        cells = 0
+        for kind in TestKind:
+            for method in IterationMethod:
+                for index in range(40):
+                    alpha = math.exp(rng.uniform(math.log(1e-3), math.log(0.25)))
+                    n = math.inf if index % 8 == 0 else round(
+                        math.exp(rng.uniform(0.0, math.log(1e6))))
+                    solved = _outcome(lambda: kuiper_pair_solver(
+                        guess, alpha, n, kind, method).critical_value.hex())
+                    explicit = _outcome(lambda: solve_fixed_point(
+                        direct_update, _MAPS[(kind, method)], distance,
+                        SolverConfig(guess=guess), alpha, n)[0].hex())
+                    if solved != explicit:
+                        # Only the solver's admissibility check may refuse a root.
+                        assert solved[0] is InadmissibleRootError, (alpha, n, solved)
+                        assert isinstance(explicit, str), (alpha, n, explicit)
+                    cells += isinstance(solved, str)
+        assert cells > 100
+
+    def test_default_config_is_the_dataclass_default(self):
+        assert _DEFAULT_CONFIG == SolverConfig()
+        assert _DEFAULT_CONFIG.guess == DEFAULT_GUESS
+
+    @pytest.mark.parametrize("rebuild", [
+        lambda member: type(member)(member.value),
+        lambda member: pickle.loads(pickle.dumps(member)),
+        copy.deepcopy,
+    ], ids=["by-value", "pickle", "deepcopy"])
+    def test_rebuilt_members_find_their_entries(self, rebuild):
+        for kind in TestKind:
+            assert MIN_ADMISSIBLE_ROOTS[rebuild(kind)] == MIN_ADMISSIBLE_ROOTS[kind]
+            for method in IterationMethod:
+                key = (rebuild(kind), rebuild(method))
+                assert _MAPS[key] is _MAPS[(kind, method)]
+        _threshold(0.05, 40, TestKind.TWO_SAMPLE_EQUAL)
+        before = _threshold.cache_info()
+        _threshold(0.05, 40, rebuild(TestKind.TWO_SAMPLE_EQUAL))
+        after = _threshold.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestUpperTailQuantile:
