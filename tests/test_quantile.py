@@ -22,7 +22,6 @@ from kuiperpair.fixed_point import (
     solve_fixed_point,
 )
 from kuiperpair.quantile import (
-    _DEFAULT_CONFIG,
     _MAPS,
     DEFAULT_GUESS,
     MIN_ADMISSIBLE_ROOTS,
@@ -242,10 +241,6 @@ class TestSolverSetUp:
                         assert isinstance(explicit, str), (alpha, n, explicit)
                     cells += isinstance(solved, str)
         assert cells > 100
-
-    def test_default_config_is_the_dataclass_default(self):
-        assert _DEFAULT_CONFIG == SolverConfig()
-        assert _DEFAULT_CONFIG.guess == DEFAULT_GUESS
 
     @pytest.mark.parametrize("rebuild", [
         lambda member: type(member)(member.value),

@@ -5,7 +5,7 @@
 Both revisions are unpacked as ``tools/bench_pairs.py`` does and imported into
 one process as two distinct packages, so both sides solve the same cells under
 the same load.  Round ``r`` draws ``benchmarks/workloads.table_cells(seed, r,
-size)`` and times it in four blocks, parent, change, change, parent (ABBA), each
+SIZE)`` and times it in four blocks, parent, change, change, parent (ABBA), each
 call timed with ``perf_counter_ns`` as ``table-grid`` times it; typed refusals
 are left out of the timings.  Per round and route (pair solve, inverse CDF) the
 change/parent ratio of the p50s is taken, and the median, quartiles and wins
@@ -34,6 +34,7 @@ from bench_pairs import quartiles, unpack  # noqa: E402
 from workloads import GUESS, table_cells  # noqa: E402
 
 ROUTES = ("pair", "invcdf")
+SIZE = 1024  # cells per block
 
 
 def load(tree: Path, name: str):
@@ -108,7 +109,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--rounds", type=int, default=40)
-    parser.add_argument("--size", type=int, default=1024, help="cells per block")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="paired-solves-") as tmp:
@@ -119,9 +119,9 @@ def main(argv=None) -> int:
             commits[side] = unpack(rev, trees[side])
         parent = load(trees["parent"], "kuiperpair_parent")
         change = load(trees["change"], "kuiperpair_change")
-        reading = paired_ratios(parent, change, args.seed, args.rounds, args.size)
+        reading = paired_ratios(parent, change, args.seed, args.rounds, SIZE)
     print(f"parent {commits['parent'][:12]} change {commits['change'][:12]} "
-          f"seed {args.seed}: {args.rounds} rounds of 4 blocks of {args.size} cells")
+          f"seed {args.seed}: {args.rounds} rounds of 4 blocks of {SIZE} cells")
     differ = sum(a != b for a, b in zip(*reading["outs"].values()))
     print(f"outputs differ on {differ} of {len(reading['outs']['parent'])} cells")
     for route, ratios in reading["ratios"].items():
